@@ -37,8 +37,9 @@ from .hmm import (
     fit_converged,
     model_from_doc,
     model_to_doc,
-    predict_batch,
-    predict_next,
+    point_offsets,
+    predict_next_all,
+    predict_points,
 )
 from .ingest import default_mapping
 from .markov import MarkovChainModel
@@ -104,39 +105,14 @@ def default_alphabet(n_obs: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Internal batching helpers
+# Internal helpers: the canonical point order and process-pool tasks
 # ---------------------------------------------------------------------------
 
-def _batch_sessions(sessions: list[StateSequence]):
-    """Group sessions of equal length: list of (T, original indices, obs)."""
-    buckets: dict[int, list[int]] = {}
-    for i, s in enumerate(sessions):
-        buckets.setdefault(len(s), []).append(i)
-    out = []
-    for T, idx in sorted(buckets.items()):
-        obs = np.vstack([sessions[i].symbols for i in idx])
-        out.append((T, np.asarray(idx), obs))
-    return out
-
-
-def _point_layout(sessions, stride):
-    """Canonical evaluation-point order: sessions in input order, t ascending.
-
-    Returns (offsets, total, positions_by_length) where positions are the
-    predicted time steps 1, 1+stride, ... <= T-1.
-    """
-    counts = np.array(
-        [len(range(1, len(s), stride)) for s in sessions], dtype=np.int64
-    )
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return offsets, int(counts.sum())
-
-
 def _stage2_meta(sessions, stride, max_len):
-    """counts and targets arrays for the canonical point order."""
-    offsets, total = _point_layout(sessions, stride)
-    counts = np.empty(total)
-    targets = np.empty(total, dtype=np.int64)
+    """offsets, counts and targets arrays for the canonical point order."""
+    offsets = point_offsets([len(s) for s in sessions], stride)
+    counts = np.empty(offsets[-1])
+    targets = np.empty(offsets[-1], dtype=np.int64)
     for i, s in enumerate(sessions):
         pos = np.arange(1, len(s), stride)
         counts[offsets[i]: offsets[i + 1]] = np.minimum(pos / max_len, 1.0)
@@ -144,52 +120,43 @@ def _stage2_meta(sessions, stride, max_len):
     return offsets, counts, targets
 
 
-def _model_point_predictions(model, sessions, stride, offsets, total):
-    """One model's prediction at every canonical point, via streaming passes
-    batched over equal-length sessions."""
-    out = np.empty(total, dtype=np.int64)
-    for T, idx, obs in _batch_sessions(sessions):
-        if T < 2:
-            continue
-        pos = np.arange(1, T, stride)
-        batch = predict_batch(model, obs)[:, pos - 1]
-        for row, i in enumerate(idx):
-            out[offsets[i]: offsets[i + 1]] = batch[row]
-    return out
-
-
-# Fork-inherited context for process-pool workers; set before pool creation.
-_WORKER_CTX: dict = {}
-
-
-def _fit_task(length: int):
-    ctx = _WORKER_CTX
-    seqs = ctx["groups"][length]
-    model, trace = baum_welch_fit(
-        seqs,
-        n_hidden=ctx["n_hidden"],
-        n_obs=ctx["n_obs"],
-        seed=ctx["base_seed"] ^ length,
-        tol=ctx["tol"],
-        max_iters=ctx["max_iters"],
-    )
-    return length, model, fit_converged(trace, ctx["tol"]), len(trace)
-
-
-def _predict_task(model_index: int):
-    ctx = _WORKER_CTX
-    model = ctx["models"][model_index]
-    return model_index, _model_point_predictions(
-        model, ctx["sessions"], ctx["stride"], ctx["offsets"], ctx["total"]
-    )
+def _pool_size(workers: int) -> int:
+    return workers if workers > 0 else (os.cpu_count() or 1)
 
 
 def _run_tasks(fn, payloads, parallel: bool, workers: int):
+    """fn over payloads, in order; in a process pool when parallel.  Every
+    payload carries all its task needs, so any start method works."""
     if not parallel or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    max_workers = workers if workers > 0 else (os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=_pool_size(workers)) as pool:
         return list(pool.map(fn, payloads))
+
+
+def _fit_task(payload):
+    length, seqs, config = payload
+    model, trace = baum_welch_fit(
+        seqs,
+        n_hidden=config.n_hidden,
+        n_obs=config.n_obs,
+        seed=config.base_seed ^ length,
+        tol=config.tol,
+        max_iters=config.max_iters,
+    )
+    return length, model, fit_converged(trace, config.tol), len(trace)
+
+
+def _fit_selected(groups, lengths: list[int], config: RunConfig):
+    """One HMM per selected length: (length, model, converged, iterations)
+    in selection order."""
+    group_map = dict(groups)
+    payloads = [(length, group_map[length], config) for length in lengths]
+    return _run_tasks(_fit_task, payloads, config.parallel, config.workers)
+
+
+def _points_task(payload):
+    models, seqs, stride = payload
+    return predict_points(models, seqs, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +187,7 @@ def train_ensemble(
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    group_map = dict(groups)
-    _WORKER_CTX.clear()
-    _WORKER_CTX.update(
-        groups={length: group_map[length] for length in plan.selected_lengths},
-        n_hidden=config.n_hidden,
-        n_obs=config.n_obs,
-        base_seed=config.base_seed,
-        tol=config.tol,
-        max_iters=config.max_iters,
-    )
-    results = _run_tasks(
-        _fit_task, plan.selected_lengths, config.parallel, config.workers
-    )
+    results = _fit_selected(groups, plan.selected_lengths, config)
     models = {length: model for length, model, _, _ in results}
     warnings_list = [
         f"hmm_{length} stopped at the iteration cap ({iters} iterations)"
@@ -289,23 +244,32 @@ def stage2_arrays(
     parallel: bool = False,
     workers: int = 0,
 ):
-    """(P, K) prediction matrix plus counts and targets, canonical order."""
+    """(P, K) prediction matrix plus counts and targets, canonical order.
+
+    In parallel, the sessions are dealt by length, round-robin, into one
+    chunk per worker; each chunk runs the stacked kernel and its rows are
+    scattered back into the canonical order.
+    """
     if stride < 1:
         raise DomainError("stride must be at least 1")
     if any(len(s) < 2 for s in sessions):
         raise DomainError("stage-2 sessions need length of at least 2")
     offsets, counts, targets = _stage2_meta(sessions, stride, max_len)
-    total = targets.size
-    preds = np.empty((total, len(models)), dtype=np.int64)
-    _WORKER_CTX.clear()
-    _WORKER_CTX.update(
-        models=models, sessions=sessions, stride=stride,
-        offsets=offsets, total=total,
+    seqs = [s.symbols for s in sessions]
+    if not parallel:
+        return predict_points(models, seqs, stride), counts, targets
+    n_chunks = min(_pool_size(workers), len(seqs))
+    by_length = np.argsort([-len(s) for s in seqs], kind="stable")
+    chunks = [by_length[c::n_chunks] for c in range(n_chunks)]
+    parts = _run_tasks(
+        _points_task,
+        [(models, [seqs[i] for i in idx], stride) for idx in chunks],
+        parallel, workers,
     )
-    for index, column in _run_tasks(
-        _predict_task, list(range(len(models))), parallel, workers
-    ):
-        preds[:, index] = column
+    preds = np.empty((targets.size, len(models)), dtype=np.int64)
+    for idx, part in zip(chunks, parts):
+        rows = [np.arange(offsets[i], offsets[i + 1]) for i in idx]
+        preds[np.concatenate(rows)] = part
     return preds, counts, targets
 
 
@@ -332,12 +296,13 @@ def collect_stage2(
 
 def predict(model: EnsembleModel, prefix: StateSequence) -> EnsemblePrediction:
     """Fused next-state prediction with per-model diagnostics."""
-    per_model = {}
-    preds = np.empty(model.k, dtype=np.int64)
-    for i, length in enumerate(model.selected_lengths):
-        symbol, _ = predict_next(model.models[length], prefix)
-        per_model[length] = symbol
-        preds[i] = symbol
+    preds = predict_next_all(
+        [model.models[length] for length in model.selected_lengths], prefix
+    )
+    per_model = {
+        length: int(symbol)
+        for length, symbol in zip(model.selected_lengths, preds)
+    }
     count = min(len(prefix) / model.max_len, 1.0)
     x = encode(FusionInput(hmm_preds=preds, count=count), model.k, model.n_obs)
     scores, symbol = forward(model.fusion, x)
@@ -420,9 +385,9 @@ def evaluate(
         }
         n_obs = predictor.n_obs
     elif isinstance(predictor, HmmModel):
-        predictions = _model_point_predictions(
-            predictor, sessions, stride, offsets, total
-        )
+        predictions = predict_points(
+            [predictor], [s.symbols for s in sessions], stride
+        )[:, 0]
         n_obs = predictor.n_obs
     elif isinstance(predictor, MarkovChainModel):
         predictions = _markov_point_predictions(
@@ -477,16 +442,12 @@ def prediction_correlation(
     """Pairwise agreement rate between model predictions; unit diagonal."""
     if len(models) < 2:
         raise DomainError("need at least two models")
-    offsets, total = _point_layout(sessions, stride)
-    columns = [
-        _model_point_predictions(m, sessions, stride, offsets, total)
-        for m in models
-    ]
+    preds = predict_points(models, [s.symbols for s in sessions], stride)
     k = len(models)
     out = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            rate = float((columns[i] == columns[j]).mean())
+            rate = float((preds[:, i] == preds[:, j]).mean())
             out[i, j] = rate
             out[j, i] = rate
     return out
@@ -536,19 +497,7 @@ def sweep_k(
     distances = dissimilarity_matrix(freq_arrays)
     plan = select_k(groups, freq_arrays, distances, k_max, config.min_support)
 
-    group_map = dict(groups)
-    _WORKER_CTX.clear()
-    _WORKER_CTX.update(
-        groups={length: group_map[length] for length in plan.selected_lengths},
-        n_hidden=config.n_hidden,
-        n_obs=config.n_obs,
-        base_seed=config.base_seed,
-        tol=config.tol,
-        max_iters=config.max_iters,
-    )
-    results = _run_tasks(
-        _fit_task, plan.selected_lengths, config.parallel, config.workers
-    )
+    results = _fit_selected(groups, plan.selected_lengths, config)
     models = {length: model for length, model, _, _ in results}
     model_list = [models[length] for length in plan.selected_lengths]
 

@@ -24,6 +24,8 @@ EMISSION_FLOOR = 1e-10
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200
 DEFAULT_N_HIDDEN = 5
+# Sequences per block of the stacked prediction pass (see predict_points)
+ROW_BLOCK = 1024
 
 
 @dataclass
@@ -127,14 +129,16 @@ def _forward(model: HmmModel, obs: np.ndarray):
     if s <= 0.0:
         raise DegenerateSequenceError(0)
     scale[0] = 1.0 / s
-    alpha[0] = a * scale[0]
+    alpha[0] = a / s
     for t in range(1, T):
         a = (alpha[t - 1] @ model.A) * model.B[:, obs[t]]
         s = a.sum()
         if s <= 0.0:
             raise DegenerateSequenceError(t)
+        # divided, not multiplied by scale[t]: the rounding of the stacked
+        # prediction passes, so every path predicts the same symbol
         scale[t] = 1.0 / s
-        alpha[t] = a * scale[t]
+        alpha[t] = a / s
     ll = -float(np.log(scale).sum())
     return alpha, scale, ll
 
@@ -314,8 +318,9 @@ def predict_next(model: HmmModel, prefix: StateSequence) -> tuple[int, np.ndarra
     """Most likely next symbol after `prefix`, with per-candidate scores.
 
     scores[k] = log P(prefix + [k] | lambda), computed as one forward
-    extension of the prefix rather than M full rescoring passes.  Ties go to
-    the lowest symbol index.
+    extension of the prefix rather than M full rescoring passes.  The symbol
+    is the argmax of the next-symbol probabilities, as in `predict_points`;
+    ties go to the lowest symbol index.
     """
     check_symbols(prefix, model.n_obs)
     alpha, _, ll = _forward(model, prefix.symbols)
@@ -323,38 +328,131 @@ def predict_next(model: HmmModel, prefix: StateSequence) -> tuple[int, np.ndarra
     probs = pred @ model.B
     with np.errstate(divide="ignore"):
         scores = ll + np.log(probs)
-    return int(np.argmax(scores)), scores
+    return int(np.argmax(probs)), scores
 
 
-def predict_sequence(model: HmmModel, seq: StateSequence) -> np.ndarray:
-    """Predicted symbol at every position 1..T-1, one streaming forward pass.
+def point_offsets(lengths: np.ndarray, stride: int) -> np.ndarray:
+    """Where each sequence's prediction points start in the canonical order,
+    with the total point count appended.
 
-    Entry t-1 equals predict_next(model, seq[:t])[0].
+    Canonical order: sequences in input order and, within one of length T,
+    the predicted positions t = 1, 1+stride, ... <= T-1 ascending.
     """
-    check_symbols(seq, model.n_obs)
-    return predict_batch(model, seq.symbols[None, :])[0]
+    counts = (np.asarray(lengths, dtype=np.int64) - 2 + stride) // stride
+    return np.concatenate([[0], np.cumsum(counts)])
 
 
-def predict_batch(model: HmmModel, obs: np.ndarray) -> np.ndarray:
-    """Streaming next-symbol predictions for a (n, T) batch of equal-length
-    sequences; returns an (n, T-1) int array."""
-    n, T = obs.shape
-    A, B, pi = model.A, model.B, model.pi
-    out = np.empty((n, T - 1), dtype=np.int64)
-    a = pi[None, :] * B[:, obs[:, 0]].T
-    s = a.sum(axis=1)
+def _shape_groups(models: list[HmmModel]) -> list[list[int]]:
+    """Model indices grouped by (n_hidden, n_obs); each group stacks."""
+    if not models:
+        raise DomainError("need at least one model")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, m in enumerate(models):
+        groups.setdefault((m.n_hidden, m.n_obs), []).append(k)
+    return list(groups.values())
+
+
+def _stack(models: list[HmmModel]):
+    """A (K,N,N), B (K,N,M), B transposed (K,M,N) and pi (K,N) of K models
+    of one shape; B transposed gathers one symbol's emissions as rows."""
+    B = np.stack([m.B for m in models])
+    return (
+        np.stack([m.A for m in models]), B,
+        np.ascontiguousarray(B.transpose(0, 2, 1)),
+        np.stack([m.pi for m in models]),
+    )
+
+
+def _normalized(a: np.ndarray, t: int) -> np.ndarray:
+    """Scale the last axis of `a` to sum to one, in place."""
+    s = a.sum(axis=-1)
     if (s <= 0.0).any():
-        raise DegenerateSequenceError(0)
-    a /= s[:, None]
-    for t in range(1, T):
-        pred = a @ A
-        out[:, t - 1] = np.argmax(pred @ B, axis=1)
-        a = pred * B[:, obs[:, t]].T
-        s = a.sum(axis=1)
-        if (s <= 0.0).any():
-            raise DegenerateSequenceError(t)
-        a /= s[:, None]
+        raise DegenerateSequenceError(t)
+    a /= s[..., None]
+    return a
+
+
+def predict_points(
+    models: list[HmmModel], seqs: list[np.ndarray], stride: int = 1
+) -> np.ndarray:
+    """Every model's next-symbol prediction at every canonical point.
+
+    Returns a (P, K) int array in the order of `point_offsets`; entry
+    [p, k] equals predict_next(models[k], prefix)[0] for the prefix that
+    point predicts after.  One scaled forward pass runs all K models over
+    all sequences at once (one pass per model shape, if shapes differ):
+    sorted longest first, the sequences still running at step t are the
+    first rows, so alpha is (K, rows running, N) with no padding, and the
+    next-symbol argmax is taken only at stride points.
+    """
+    if stride < 1:
+        raise DomainError("stride must be at least 1")
+    groups = _shape_groups(models)
+    lengths = np.array([s.size for s in seqs], dtype=np.int64)
+    if (lengths < 1).any():
+        raise DomainError("a sequence needs at least one symbol")
+    offsets = point_offsets(lengths, stride)
+    out = np.empty((offsets[-1], len(models)), dtype=np.int64)
+    if len(groups) > 1:
+        for cols in groups:
+            group = [models[k] for k in cols]
+            out[:, cols] = predict_points(group, seqs, stride)
+        return out
+    if not seqs:
+        return out
+    A, B, BT, pi = _stack(models)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    # running[t]: how many sequences are longer than t
+    running = np.searchsorted(-ordered, -np.arange(ordered[0]), side="left")
+    # symbols time-major: step t's are obs[starts[t]:starts[t+1]], by row
+    starts = np.concatenate([[0], np.cumsum(running)])
+    row = np.repeat(np.arange(len(seqs)), ordered)
+    first = np.repeat(np.cumsum(ordered) - ordered, ordered)
+    step = np.arange(row.size) - first
+    obs = np.empty(row.size, dtype=np.int64)
+    obs[starts[step] + row] = np.concatenate([seqs[i] for i in order])
+    if obs.max() >= B.shape[2]:
+        raise DomainError(
+            f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
+        )
+    first_point = offsets[order]
+
+    # blocks of rows bound the working arrays to (K, ROW_BLOCK, N)
+    for lo in range(0, len(seqs), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(seqs))
+        a = _normalized(pi[:, None, :] * BT[:, obs[lo:hi]], 0)
+        for t in range(1, int(ordered[lo])):
+            n = min(running[t], hi) - lo
+            pred = a[:, :n] @ A
+            if (t - 1) % stride == 0:
+                rows = first_point[lo: lo + n] + (t - 1) // stride
+                # one model at a time: (n, M) probabilities, not (K, n, M)
+                for k in range(len(models)):
+                    out[rows, k] = np.argmax(pred[k] @ B[k], axis=1)
+            pred *= BT[:, obs[starts[t] + lo: starts[t] + lo + n]]
+            a = _normalized(pred, t)
     return out
+
+
+def predict_next_all(
+    models: list[HmmModel], prefix: StateSequence
+) -> np.ndarray:
+    """Each model's predict_next symbol after `prefix`, as a (K,) array, from
+    one forward pass with the models stacked as in `predict_points`."""
+    groups = _shape_groups(models)
+    if len(groups) > 1:
+        out = np.empty(len(models), dtype=np.int64)
+        for cols in groups:
+            out[cols] = predict_next_all([models[k] for k in cols], prefix)
+        return out
+    A, B, BT, pi = _stack(models)
+    check_symbols(prefix, B.shape[2])
+    obs = prefix.symbols
+    a = _normalized(pi * BT[:, obs[0]], 0)
+    for t in range(1, obs.size):
+        a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
+    return np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import fhmm
 
 from fhmm.config import RunConfig
 from fhmm.ensemble import (
     EnsembleModel,
+    _fused_point_predictions,
     collect_stage2,
     evaluate,
     feature_importance_report,
@@ -21,9 +31,18 @@ from fhmm.ensemble import (
     write_sweep_csv,
 )
 from fhmm.errors import DomainError
-from fhmm.hmm import HmmModel, predict_next
-from fhmm.ingest import GeneratorSpec, LengthDistribution, SynthSpec, synth_corpus
+from fhmm.fusion import FusionHyper, init_network
+from fhmm.hmm import HmmModel, predict_next, random_model
+from fhmm.ingest import (
+    GeneratorSpec,
+    LengthDistribution,
+    SynthSpec,
+    read_sessions,
+    synth_corpus,
+    write_sessions,
+)
 from fhmm.markov import fit_markov
+from fhmm.partition import PartitionPlan
 from fhmm.sequences import StateSequence
 
 from conftest import make_seq
@@ -72,6 +91,25 @@ def _small_config(**overrides):
     return RunConfig(**base)
 
 
+# Trains in parallel under the spawn start method, whose workers inherit no
+# module state from the parent: argv[1] holds the sessions and the config.
+SPAWN_TRAIN = """
+import json, multiprocessing, sys
+from pathlib import Path
+
+from fhmm.config import RunConfig
+from fhmm.ensemble import save_ensemble, train_ensemble
+from fhmm.ingest import read_sessions
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    root = Path(sys.argv[1])
+    config = RunConfig(**json.loads((root / "config.json").read_text()))
+    model = train_ensemble(read_sessions(root / "sessions.tsv"), config)
+    save_ensemble(model, root / "spawn")
+"""
+
+
 @pytest.fixture(scope="module")
 def small_ensemble():
     corpus = _small_corpus()
@@ -111,6 +149,31 @@ class TestTrainEnsemble:
             a = (tmp_path / "seq" / name).read_bytes()
             b = (tmp_path / "par" / name).read_bytes()
             assert a == b, f"{name} differs between parallel and sequential"
+
+    def test_parallel_under_spawn_matches_sequential_bytes(self, tmp_path):
+        sessions = _small_corpus(seed=6).sessions
+        write_sessions(tmp_path / "sessions.tsv", sessions)
+        config = _small_config(parallel=True, workers=2)
+        (tmp_path / "config.json").write_text(json.dumps(config.to_doc()))
+        (tmp_path / "train.py").write_text(SPAWN_TRAIN)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(fhmm.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, str(tmp_path / "train.py"), str(tmp_path)],
+            env=env, check=True, timeout=300,
+        )
+        sequential = train_ensemble(
+            read_sessions(tmp_path / "sessions.tsv"), _small_config()
+        )
+        save_ensemble(sequential, tmp_path / "seq")
+        names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "spawn").iterdir())
+        for name in names:
+            a = (tmp_path / "seq" / name).read_bytes()
+            b = (tmp_path / "spawn" / name).read_bytes()
+            assert a == b, f"{name} differs between spawn and sequential"
 
     def test_k1_fusion_tracks_single_hmm(self):
         # when the lone specialist is near-perfect on deterministic data,
@@ -213,6 +276,41 @@ class TestPredict:
         _, _, model = small_ensemble
         out = predict(model, make_seq([0, 1]))
         assert sorted(out.per_model) == sorted(model.selected_lengths)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        lengths=st.lists(st.integers(2, 40), min_size=1, max_size=5),
+        repeats=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_evaluate_at_every_point(self, k, lengths, repeats, seed):
+        n_obs = 5
+        rng = np.random.default_rng(seed)
+        keys = list(range(2, 2 + k))
+        model = EnsembleModel(
+            plan=PartitionPlan(
+                groups=[], freq_arrays=[], distances=np.zeros((0, 0)),
+                ranks={}, selected_lengths=keys, coverage=1.0,
+            ),
+            models={key: random_model(3, n_obs, seed + key) for key in keys},
+            fusion=init_network(
+                k * n_obs + 1, n_obs, FusionHyper(hidden_width=8, seed=seed)
+            ),
+            n_obs=n_obs, alphabet=[], base_seed=0, max_len=40,
+        )
+        sessions = [
+            make_seq(rng.integers(0, n_obs, size=n), f"s{i}")
+            for i, n in enumerate(rng.permutation(lengths * repeats))
+        ]
+        fused, per_model, _ = _fused_point_predictions(model, sessions, 1)
+        p = 0
+        for s in sessions:
+            for t in range(1, len(s)):
+                out = predict(model, StateSequence(s.symbols[:t]))
+                assert out.symbol == fused[p]
+                assert list(out.per_model.values()) == list(per_model[p])
+                p += 1
 
 
 class TestEvaluate:

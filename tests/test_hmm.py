@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhmm.benchmark import standard_benchmark, standard_config
+from fhmm import hmm
 from fhmm.errors import DegenerateSequenceError, DomainError
 from fhmm.hmm import (
     HmmModel,
@@ -12,9 +15,10 @@ from fhmm.hmm import (
     load_model,
     model_from_doc,
     model_to_doc,
-    predict_batch,
+    point_offsets,
     predict_next,
-    predict_sequence,
+    predict_next_all,
+    predict_points,
     random_model,
     sample,
     sample_batch,
@@ -226,7 +230,7 @@ class TestPredictNext:
     def test_streaming_matches_pointwise(self):
         model = random_model(4, 5, seed=13)
         seq = sample(model, 20, seed=14)
-        stream = predict_sequence(model, seq)
+        stream = predict_points([model], [seq.symbols])[:, 0]
         for t in range(1, len(seq)):
             point, _ = predict_next(model, StateSequence(seq.symbols[:t]))
             assert stream[t - 1] == point
@@ -234,12 +238,110 @@ class TestPredictNext:
     def test_batch_matches_streaming(self):
         model = random_model(3, 4, seed=21)
         rng = np.random.default_rng(0)
-        obs = np.vstack(sample_batch(model, np.full(6, 9), rng))
-        batch = predict_batch(model, obs)
-        for i in range(obs.shape[0]):
+        obs = sample_batch(model, np.full(6, 9), rng)
+        batch = predict_points([model], obs)[:, 0].reshape(6, 8)
+        for i in range(len(obs)):
             np.testing.assert_array_equal(
-                batch[i], predict_sequence(model, StateSequence(obs[i]))
+                batch[i], predict_points([model], [obs[i]])[:, 0]
             )
+
+    def test_ties_go_to_the_lowest_symbol_like_the_kernel(self):
+        # the length-9 specialist of this corpus gives symbols 3 and 4 equal
+        # next-symbol probabilities; log scores used to hide a last-bit
+        # difference the kernel's probabilities keep
+        data = standard_benchmark(10_000, 2_000, 28)
+        config = standard_config()
+        model, _ = baum_welch_fit(
+            [s for s in data.train if len(s) == 9], n_hidden=config.n_hidden,
+            n_obs=config.n_obs, seed=config.base_seed ^ 9, tol=config.tol,
+            max_iters=config.max_iters,
+        )
+        test = [s for s in data.test if len(s) <= 30][:300]
+        points = predict_points([model], [s.symbols for s in test])[:, 0]
+        offsets = point_offsets([len(s) for s in test], 1)
+        for i, s in enumerate(test):
+            got = [
+                predict_next(model, StateSequence(s.symbols[:t]))[0]
+                for t in range(1, len(s))
+            ]
+            np.testing.assert_array_equal(
+                got, points[offsets[i]: offsets[i + 1]]
+            )
+
+
+class TestPredictPoints:
+    def test_canonical_order_and_stride(self):
+        models = [random_model(3, 4, seed=s) for s in (1, 2)]
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(0, 4, size=n) for n in (3, 7, 1, 7, 2)]
+        got = predict_points(models, seqs, stride=2)
+        offsets = point_offsets([s.size for s in seqs], 2)
+        np.testing.assert_array_equal(offsets, [0, 1, 4, 4, 7, 8])
+        for i, s in enumerate(seqs):
+            for j, t in enumerate(range(1, s.size, 2)):
+                for k, m in enumerate(models):
+                    expected, _ = predict_next(m, StateSequence(s[:t]))
+                    assert got[offsets[i] + j, k] == expected
+
+    def test_zero_row_sum_raises_with_its_step(self):
+        model = HmmModel(
+            n_hidden=2, n_obs=3,
+            A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            B=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            pi=np.array([1.0, 0.0]),
+        )
+        seqs = [np.array([0, 1, 0, 1, 0]), np.array([0, 1, 1, 0])]
+        with pytest.raises(DegenerateSequenceError) as err:
+            predict_points([model], seqs)
+        assert err.value.time_step == 2
+        with pytest.raises(DegenerateSequenceError):
+            predict_next_all([model], StateSequence(seqs[1]))
+
+    def test_models_of_different_shapes(self):
+        models = [random_model(n, m, seed)
+                  for seed, (n, m) in enumerate([(2, 3), (3, 4), (2, 3)])]
+        seqs = [np.array([0, 1, 2, 1]), np.array([2, 0])]
+        got = predict_points(models, seqs)
+        for k, m in enumerate(models):
+            np.testing.assert_array_equal(
+                got[:, k], predict_points([m], seqs)[:, 0]
+            )
+        prefix = StateSequence(seqs[0])
+        np.testing.assert_array_equal(
+            predict_next_all(models, prefix),
+            [predict_next(m, prefix)[0] for m in models],
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        lengths=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+        repeats=st.integers(1, 3),
+        stride=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_predict_next_at_every_point(
+        self, k, lengths, repeats, stride, seed
+    ):
+        rng = np.random.default_rng(seed)
+        models = [random_model(3, 5, seed=seed + i) for i in range(k)]
+        lengths = rng.permutation(lengths * repeats)
+        seqs = [rng.integers(0, 5, size=n) for n in lengths]
+        got = predict_points(models, seqs, stride)
+        with mock.patch.object(hmm, "ROW_BLOCK", 2):
+            np.testing.assert_array_equal(
+                predict_points(models, seqs, stride), got
+            )
+        offsets = point_offsets(lengths, stride)
+        assert got.shape == (offsets[-1], k)
+        for i, s in enumerate(seqs):
+            for j, t in enumerate(range(1, s.size, stride)):
+                prefix = StateSequence(s[:t])
+                expected = [predict_next(m, prefix)[0] for m in models]
+                np.testing.assert_array_equal(got[offsets[i] + j], expected)
+                np.testing.assert_array_equal(
+                    predict_next_all(models, prefix), expected
+                )
 
 
 class TestSample:
