@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import cached_property
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +34,7 @@ from .fusion import (
 )
 from .hmm import (
     HmmModel,
+    ModelStack,
     baum_welch_fit,
     fit_converged,
     model_from_doc,
@@ -40,6 +42,7 @@ from .hmm import (
     point_offsets,
     predict_next_all,
     predict_points,
+    stack_models,
 )
 from .ingest import default_mapping
 from .markov import MarkovChainModel
@@ -79,6 +82,13 @@ class EnsembleModel:
     @property
     def k(self) -> int:
         return len(self.plan.selected_lengths)
+
+    @cached_property
+    def stacks(self) -> list[ModelStack]:
+        """The selected models, stacked once for `predict`."""
+        return stack_models(
+            [self.models[length] for length in self.selected_lengths]
+        )
 
 
 @dataclass
@@ -296,9 +306,7 @@ def collect_stage2(
 
 def predict(model: EnsembleModel, prefix: StateSequence) -> EnsemblePrediction:
     """Fused next-state prediction with per-model diagnostics."""
-    preds = predict_next_all(
-        [model.models[length] for length in model.selected_lengths], prefix
-    )
+    preds = predict_next_all(model.stacks, prefix)
     per_model = {
         length: int(symbol)
         for length, symbol in zip(model.selected_lengths, preds)

@@ -24,8 +24,12 @@ EMISSION_FLOOR = 1e-10
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200
 DEFAULT_N_HIDDEN = 5
-# Sequences per block of the stacked prediction pass (see predict_points)
+# Sequences per block of the stacked prediction pass (see predict_points),
+# which bounds its (K, rows, N) working arrays
 ROW_BLOCK = 1024
+# Symbols per block of the Baum-Welch E-step (see _em_blocks), which bounds
+# its stored (symbols, N) alpha; closed only where the length changes
+BLOCK_SYMBOLS = 32768
 
 
 @dataclass
@@ -176,69 +180,142 @@ def score(model: HmmModel, seq: StateSequence) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Ragged layout, shared by Baum-Welch and the stacked prediction pass
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Ragged:
+    """Sequences sorted longest first, symbols stored time-major.
+
+    At step t the sequences still running are the first running[t] rows,
+    and their symbols are obs[starts[t]:starts[t+1]], one per row.
+    """
+
+    order: np.ndarray            # input index of each row
+    lengths: np.ndarray          # row lengths, non-increasing
+    running: np.ndarray          # running[t]: how many rows are longer than t
+    starts: np.ndarray
+    obs: np.ndarray
+
+
+def _ragged(seqs: list[np.ndarray]) -> _Ragged:
+    """The ragged layout of one or more non-empty sequences."""
+    lengths = np.array([s.size for s in seqs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    running = np.searchsorted(-ordered, -np.arange(ordered[0]), side="left")
+    starts = np.concatenate([[0], np.cumsum(running)])
+    row = np.repeat(np.arange(len(seqs)), ordered)
+    first = np.repeat(np.cumsum(ordered) - ordered, ordered)
+    step = np.arange(row.size) - first
+    obs = np.empty(row.size, dtype=np.int64)
+    obs[starts[step] + row] = np.concatenate([seqs[i] for i in order])
+    return _Ragged(order, ordered, running, starts, obs)
+
+
+# ---------------------------------------------------------------------------
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-def _group_by_length(seqs: list[np.ndarray]) -> dict[int, np.ndarray]:
-    """Stack equal-length observation arrays so the batch axis vectorizes."""
-    buckets: dict[int, list[np.ndarray]] = {}
-    for s in seqs:
-        buckets.setdefault(s.size, []).append(s)
-    return {T: np.vstack(group) for T, group in sorted(buckets.items())}
+def _em_blocks(seqs: list[np.ndarray]) -> list[_Ragged]:
+    """The sequences, sorted longest first, cut into E-step blocks, each in
+    its own ragged layout.
 
-
-def _batch_forward_backward_stats(model, obs, stats):
-    """Accumulate EM sufficient statistics for a (n, T) batch of sequences.
-
-    Returns the batch's total log-likelihood.  Mutates `stats` in place.
+    A block closes once it holds at least BLOCK_SYMBOLS symbols, and only
+    where the length changes: a run of equal-length sequences is never
+    split, and a single-length corpus is one block.  Laying out one block
+    at a time keeps the layout's temporaries to the size of a block.
     """
-    n, T = obs.shape
-    N = model.n_hidden
-    A, B, pi = model.A, model.B, model.pi
+    lengths = np.array([s.size for s in seqs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    total = np.concatenate([[0], np.cumsum(ordered)])
+    ends = (np.flatnonzero(np.diff(ordered)) + 1).tolist() + [len(seqs)]
+    blocks, lo = [], 0
+    for hi in ends:
+        if total[hi] - total[lo] >= BLOCK_SYMBOLS or hi == len(seqs):
+            blocks.append(_ragged([seqs[i] for i in order[lo:hi]]))
+            lo = hi
+    return blocks
 
-    alpha = np.empty((T, n, N))
-    scale = np.empty((T, n))
-    a = pi[None, :] * B[:, obs[:, 0]].T
+
+def _e_step(model: HmmModel, blocks: list[_Ragged]):
+    """EM sufficient statistics and the total log-likelihood of the blocks."""
+    N, M = model.n_hidden, model.n_obs
+    BT = np.ascontiguousarray(model.B.T)
+    stats = {
+        "pi": np.zeros(N),
+        "a_num": np.zeros((N, N)),
+        "b_num": np.zeros((N, M)),
+        "b_den": np.zeros(N),
+    }
+    ll = 0.0
+    for block in blocks:
+        ll += _block_stats(model, BT, block, stats)
+    return stats, ll
+
+
+def _block_stats(
+    model: HmmModel, BT: np.ndarray, block: _Ragged, stats
+) -> float:
+    """Add one block's EM statistics to `stats`; return its log-likelihood.
+
+    The forward pass stores alpha time-major for the rows still running (no
+    padding).  The backward pass walks t downward, starts beta at scale[t]
+    for the rows that end at step t, overwrites alpha with gamma and
+    accumulates the expected transitions.
+    """
+    N, M = model.n_hidden, model.n_obs
+    A, pi = model.A, model.pi
+    counts, starts, obs = block.running.tolist(), block.starts.tolist(), block.obs
+    T = len(counts)
+    alpha = np.empty((obs.size, N))
+    scale = np.empty(obs.size)
+    n = counts[0]
+    a = pi[None, :] * BT[obs[:n]]
     s = a.sum(axis=1)
-    if (s <= 0.0).any():
+    if s.min() <= 0.0:
         raise DegenerateSequenceError(0)
-    scale[0] = 1.0 / s
-    alpha[0] = a * scale[0][:, None]
+    scale[:n] = 1.0 / s
+    np.multiply(a, scale[:n, None], out=alpha[:n])
     for t in range(1, T):
-        a = (alpha[t - 1] @ A) * B[:, obs[:, t]].T
+        p, q, n = starts[t - 1], starts[t], counts[t]
+        a = (alpha[p: p + n] @ A) * BT[obs[q: q + n]]
         s = a.sum(axis=1)
-        if (s <= 0.0).any():
+        if s.min() <= 0.0:
             raise DegenerateSequenceError(t)
-        scale[t] = 1.0 / s
-        alpha[t] = a * scale[t][:, None]
+        scale[q: q + n] = 1.0 / s
+        np.multiply(a, scale[q: q + n, None], out=alpha[q: q + n])
     ll = -float(np.log(scale).sum())
 
-    beta = scale[T - 1][:, None].repeat(N, axis=1)
-    gamma = np.empty_like(alpha)             # (T, n, N)
+    # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
+    q, n = starts[T - 1], counts[T - 1]
+    beta = scale[q: q + n, None].repeat(N, axis=1)
     a_outer = np.zeros((N, N))
     for t in range(T - 1, -1, -1):
-        gamma[t] = alpha[t] * beta / scale[t][:, None]
+        q, n = starts[t], counts[t]
+        gamma = alpha[q: q + n]
+        gamma *= beta
+        gamma /= scale[q: q + n, None]
         if t == 0:
             break
-        emitted = B[:, obs[:, t]].T * beta   # (n, N): b_j(o_t) * beta_t(j)
-        a_outer += alpha[t - 1].T @ emitted
-        beta = scale[t - 1][:, None] * (emitted @ A.T)
+        emitted = BT[obs[q: q + n]] * beta       # b_j(o_t) * beta_t(j)
+        p, m = starts[t - 1], counts[t - 1]
+        a_outer += alpha[p: p + n].T @ emitted
+        beta = np.empty((m, N))
+        np.multiply(scale[p: p + n, None], emitted @ A.T, out=beta[:n])
+        beta[n:] = scale[p + n: p + m, None]        # rows that end at t-1
 
-    stats["pi"] += gamma[0].sum(axis=0)
+    stats["pi"] += alpha[: counts[0]].sum(axis=0)
     stats["a_num"] += A * a_outer
-    stats["b_den"] += gamma.sum(axis=(0, 1))
+    stats["b_den"] += alpha.sum(axis=0)
     # emission counts: one weighted bincount per hidden state beats add.at
-    flat_obs = obs.T.ravel()                 # t-major, matches gamma layout
-    flat_gamma = gamma.reshape(T * n, N)
-    M = B.shape[1]
     for j in range(N):
-        stats["b_num"][j] += np.bincount(
-            flat_obs, weights=flat_gamma[:, j], minlength=M
-        )
+        stats["b_num"][j] += np.bincount(obs, weights=alpha[:, j], minlength=M)
     return ll
 
 
-def _m_step(model: HmmModel, stats, n_seqs: int) -> HmmModel:
+def _m_step(model: HmmModel, stats) -> HmmModel:
     N, M = model.n_hidden, model.n_obs
     pi = stats["pi"] / stats["pi"].sum()
     A = model.A.copy()
@@ -284,25 +361,16 @@ def baum_welch_fit(
     if n_hidden < 1:
         raise DomainError("n_hidden must be at least 1")
 
-    batches = _group_by_length([s.symbols for s in sequences])
-    n_seqs = len(sequences)
+    blocks = _em_blocks([s.symbols for s in sequences])
     model = random_model(n_hidden, n_obs, seed)
     trace: list[float] = []
     for iteration in range(max_iters):
-        stats = {
-            "pi": np.zeros(n_hidden),
-            "a_num": np.zeros((n_hidden, n_hidden)),
-            "b_num": np.zeros((n_hidden, n_obs)),
-            "b_den": np.zeros(n_hidden),
-        }
-        ll = 0.0
-        for obs in batches.values():
-            ll += _batch_forward_backward_stats(model, obs, stats)
+        stats, ll = _e_step(model, blocks)
         trace.append(ll)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
         if iteration < max_iters - 1:
-            model = _m_step(model, stats, n_seqs)
+            model = _m_step(model, stats)
     return model, trace
 
 
@@ -342,25 +410,35 @@ def point_offsets(lengths: np.ndarray, stride: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _shape_groups(models: list[HmmModel]) -> list[list[int]]:
-    """Model indices grouped by (n_hidden, n_obs); each group stacks."""
+@dataclass(frozen=True)
+class ModelStack:
+    """Models of one shape stacked for the stacked passes: A (K,N,N),
+    B (K,N,M), B transposed (K,M,N) and pi (K,N); B transposed gathers one
+    symbol's emissions as rows.  `cols` are the models' input indices."""
+
+    cols: list[int]
+    A: np.ndarray
+    B: np.ndarray
+    BT: np.ndarray
+    pi: np.ndarray
+
+
+def stack_models(models: list[HmmModel]) -> list[ModelStack]:
+    """One ModelStack per (n_hidden, n_obs) shape among `models`."""
     if not models:
         raise DomainError("need at least one model")
     groups: dict[tuple[int, int], list[int]] = {}
     for k, m in enumerate(models):
         groups.setdefault((m.n_hidden, m.n_obs), []).append(k)
-    return list(groups.values())
-
-
-def _stack(models: list[HmmModel]):
-    """A (K,N,N), B (K,N,M), B transposed (K,M,N) and pi (K,N) of K models
-    of one shape; B transposed gathers one symbol's emissions as rows."""
-    B = np.stack([m.B for m in models])
-    return (
-        np.stack([m.A for m in models]), B,
-        np.ascontiguousarray(B.transpose(0, 2, 1)),
-        np.stack([m.pi for m in models]),
-    )
+    stacks = []
+    for cols in groups.values():
+        B = np.stack([models[k].B for k in cols])
+        stacks.append(ModelStack(
+            cols, np.stack([models[k].A for k in cols]), B,
+            np.ascontiguousarray(B.transpose(0, 2, 1)),
+            np.stack([models[k].pi for k in cols]),
+        ))
+    return stacks
 
 
 def _normalized(a: np.ndarray, t: int) -> np.ndarray:
@@ -381,78 +459,64 @@ def predict_points(
     [p, k] equals predict_next(models[k], prefix)[0] for the prefix that
     point predicts after.  One scaled forward pass runs all K models over
     all sequences at once (one pass per model shape, if shapes differ):
-    sorted longest first, the sequences still running at step t are the
-    first rows, so alpha is (K, rows running, N) with no padding, and the
-    next-symbol argmax is taken only at stride points.
+    in the ragged layout Baum-Welch also uses, the sequences still running
+    at step t are the first rows, so alpha is (K, rows running, N) with no
+    padding, and the next-symbol argmax is taken only at stride points.
     """
     if stride < 1:
         raise DomainError("stride must be at least 1")
-    groups = _shape_groups(models)
+    stacks = stack_models(models)
     lengths = np.array([s.size for s in seqs], dtype=np.int64)
     if (lengths < 1).any():
         raise DomainError("a sequence needs at least one symbol")
     offsets = point_offsets(lengths, stride)
     out = np.empty((offsets[-1], len(models)), dtype=np.int64)
-    if len(groups) > 1:
-        for cols in groups:
-            group = [models[k] for k in cols]
-            out[:, cols] = predict_points(group, seqs, stride)
-        return out
     if not seqs:
         return out
-    A, B, BT, pi = _stack(models)
-    order = np.argsort(-lengths, kind="stable")
-    ordered = lengths[order]
-    # running[t]: how many sequences are longer than t
-    running = np.searchsorted(-ordered, -np.arange(ordered[0]), side="left")
-    # symbols time-major: step t's are obs[starts[t]:starts[t+1]], by row
-    starts = np.concatenate([[0], np.cumsum(running)])
-    row = np.repeat(np.arange(len(seqs)), ordered)
-    first = np.repeat(np.cumsum(ordered) - ordered, ordered)
-    step = np.arange(row.size) - first
-    obs = np.empty(row.size, dtype=np.int64)
-    obs[starts[step] + row] = np.concatenate([seqs[i] for i in order])
-    if obs.max() >= B.shape[2]:
-        raise DomainError(
-            f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
-        )
-    first_point = offsets[order]
-
-    # blocks of rows bound the working arrays to (K, ROW_BLOCK, N)
-    for lo in range(0, len(seqs), ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, len(seqs))
-        a = _normalized(pi[:, None, :] * BT[:, obs[lo:hi]], 0)
-        for t in range(1, int(ordered[lo])):
-            n = min(running[t], hi) - lo
-            pred = a[:, :n] @ A
-            if (t - 1) % stride == 0:
-                rows = first_point[lo: lo + n] + (t - 1) // stride
-                # one model at a time: (n, M) probabilities, not (K, n, M)
-                for k in range(len(models)):
-                    out[rows, k] = np.argmax(pred[k] @ B[k], axis=1)
-            pred *= BT[:, obs[starts[t] + lo: starts[t] + lo + n]]
-            a = _normalized(pred, t)
+    layout = _ragged(seqs)
+    ordered, running, starts, obs = (
+        layout.lengths, layout.running, layout.starts, layout.obs
+    )
+    first_point = offsets[layout.order]
+    for stack in stacks:
+        A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
+        if obs.max() >= B.shape[2]:
+            raise DomainError(
+                f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
+            )
+        # blocks of rows bound the working arrays to (K, ROW_BLOCK, N)
+        for lo in range(0, len(seqs), ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, len(seqs))
+            a = _normalized(pi[:, None, :] * BT[:, obs[lo:hi]], 0)
+            for t in range(1, int(ordered[lo])):
+                n = min(running[t], hi) - lo
+                pred = a[:, :n] @ A
+                if (t - 1) % stride == 0:
+                    rows = first_point[lo: lo + n] + (t - 1) // stride
+                    # one model at a time: (n, M) probabilities, not (K, n, M)
+                    for k, col in enumerate(stack.cols):
+                        out[rows, col] = np.argmax(pred[k] @ B[k], axis=1)
+                pred *= BT[:, obs[starts[t] + lo: starts[t] + lo + n]]
+                a = _normalized(pred, t)
     return out
 
 
 def predict_next_all(
-    models: list[HmmModel], prefix: StateSequence
+    stacks: list[ModelStack], prefix: StateSequence
 ) -> np.ndarray:
-    """Each model's predict_next symbol after `prefix`, as a (K,) array, from
-    one forward pass with the models stacked as in `predict_points`."""
-    groups = _shape_groups(models)
-    if len(groups) > 1:
-        out = np.empty(len(models), dtype=np.int64)
-        for cols in groups:
-            out[cols] = predict_next_all([models[k] for k in cols], prefix)
-        return out
-    A, B, BT, pi = _stack(models)
-    check_symbols(prefix, B.shape[2])
-    obs = prefix.symbols
-    a = _normalized(pi * BT[:, obs[0]], 0)
-    for t in range(1, obs.size):
-        a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
-    return np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
+    """Each stacked model's predict_next symbol after `prefix`, as a (K,)
+    array in input order, from one forward pass per stack as in
+    `predict_points`.  Build `stacks` once with `stack_models`."""
+    out = np.empty(sum(len(stack.cols) for stack in stacks), dtype=np.int64)
+    for stack in stacks:
+        A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
+        check_symbols(prefix, B.shape[2])
+        obs = prefix.symbols
+        a = _normalized(pi * BT[:, obs[0]], 0)
+        for t in range(1, obs.size):
+            a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
+        out[stack.cols] = np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

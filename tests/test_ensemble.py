@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fhmm
+from fhmm import ensemble
 
 from fhmm.config import RunConfig
 from fhmm.ensemble import (
@@ -276,6 +279,20 @@ class TestPredict:
         _, _, model = small_ensemble
         out = predict(model, make_seq([0, 1]))
         assert sorted(out.per_model) == sorted(model.selected_lengths)
+
+    def test_stacks_the_models_once(self, small_ensemble):
+        _, _, model = small_ensemble
+        fresh = dataclasses.replace(model)
+        with mock.patch.object(
+            ensemble, "stack_models", wraps=ensemble.stack_models
+        ) as spy:
+            outs = [predict(fresh, make_seq(p)) for p in ([0, 1], [3, 4, 5])]
+        assert spy.call_count == 1
+        for out, p in zip(outs, ([0, 1], [3, 4, 5])):
+            assert out.per_model == {
+                length: predict_next(model.models[length], make_seq(p))[0]
+                for length in model.selected_lengths
+            }
 
     @settings(max_examples=25, deadline=None)
     @given(

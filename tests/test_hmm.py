@@ -24,6 +24,7 @@ from fhmm.hmm import (
     sample_batch,
     save_model,
     score,
+    stack_models,
 )
 from fhmm.sequences import StateSequence
 
@@ -195,6 +196,62 @@ class TestBaumWelch:
         load_model(tmp_path / "m.json").validate()
 
 
+class TestEStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        repeats=st.integers(1, 3),
+        budget=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_statistics_match_per_sequence_forward_backward(
+        self, lengths, repeats, budget, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n, m = 3, 4
+        model = random_model(n, m, seed=seed)
+        lengths = rng.permutation(([1] + lengths) * repeats)
+        seqs = [rng.integers(0, m, size=t) for t in lengths]
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", budget):
+            blocks = hmm._em_blocks(seqs)
+        stats, ll = hmm._e_step(model, blocks)
+
+        expected = {
+            "pi": np.zeros(n), "a_num": np.zeros((n, n)),
+            "b_num": np.zeros((n, m)), "b_den": np.zeros(n),
+        }
+        expected_ll = 0.0
+        for s in seqs:
+            ws = forward_backward(model, StateSequence(s))
+            expected["pi"] += ws.gamma[0]
+            expected["a_num"] += ws.digamma.sum(axis=0)
+            expected["b_den"] += ws.gamma.sum(axis=0)
+            for t, symbol in enumerate(s):
+                expected["b_num"][:, symbol] += ws.gamma[t]
+            expected_ll += ws.log_likelihood
+        for name, want in expected.items():
+            gap = np.abs(stats[name] - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), name
+        assert abs(ll - expected_ll) <= 1e-12 * abs(expected_ll)
+
+    def test_blocks_close_only_where_the_length_changes(self):
+        rng = np.random.default_rng(0)
+        same = [rng.integers(0, 3, size=7) for _ in range(50)]
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
+            blocks = hmm._em_blocks(same)
+        assert [b.lengths.tolist() for b in blocks] == [[7] * 50]
+
+        lengths = rng.permutation(np.repeat([9, 5, 4, 2, 1], [3, 6, 1, 4, 5]))
+        seqs = [rng.integers(0, 3, size=t) for t in lengths]
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
+            blocks = hmm._em_blocks(seqs)
+        # 27 symbols, 30, then 4 + 8 closing past the budget, then the rest
+        assert [b.lengths.tolist() for b in blocks] == [
+            [9] * 3, [5] * 6, [4, 2, 2, 2, 2], [1] * 5
+        ]
+        assert [len(b.lengths) for b in hmm._em_blocks(seqs)] == [19]
+
+
 class TestPredictNext:
     def test_forced_by_deterministic_transitions(self, alternating_model):
         symbol, scores = predict_next(alternating_model, make_seq([0, 1, 0]))
@@ -295,7 +352,7 @@ class TestPredictPoints:
             predict_points([model], seqs)
         assert err.value.time_step == 2
         with pytest.raises(DegenerateSequenceError):
-            predict_next_all([model], StateSequence(seqs[1]))
+            predict_next_all(stack_models([model]), StateSequence(seqs[1]))
 
     def test_models_of_different_shapes(self):
         models = [random_model(n, m, seed)
@@ -308,7 +365,7 @@ class TestPredictPoints:
             )
         prefix = StateSequence(seqs[0])
         np.testing.assert_array_equal(
-            predict_next_all(models, prefix),
+            predict_next_all(stack_models(models), prefix),
             [predict_next(m, prefix)[0] for m in models],
         )
 
@@ -340,7 +397,7 @@ class TestPredictPoints:
                 expected = [predict_next(m, prefix)[0] for m in models]
                 np.testing.assert_array_equal(got[offsets[i] + j], expected)
                 np.testing.assert_array_equal(
-                    predict_next_all(models, prefix), expected
+                    predict_next_all(stack_models(models), prefix), expected
                 )
 
 
