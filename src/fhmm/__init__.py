@@ -5,7 +5,6 @@ from .ensemble import (
     EnsembleModel,
     EnsemblePrediction,
     EvaluationReport,
-    collect_stage2,
     evaluate,
     load_ensemble,
     predict,
@@ -24,7 +23,7 @@ from .errors import (
     SelectionError,
     TrainingDivergedError,
 )
-from .fusion import FusionHyper, FusionInput, FusionNetwork, train_fusion
+from .fusion import FusionHyper, FusionInput, FusionNetwork, train_fusion_points
 from .hmm import (
     ForwardBackwardWorkspace,
     HmmModel,

@@ -24,13 +24,12 @@ from .fusion import (
     FusionInput,
     FusionNetwork,
     encode,
-    encode_batch,
     feature_importance,
     forward,
-    forward_batch,
+    fused_predictions,
     fusion_from_doc,
     fusion_to_doc,
-    train_fusion_arrays,
+    train_fusion_points,
 )
 from .hmm import (
     HmmModel,
@@ -216,8 +215,9 @@ def train_ensemble(
     timings["stage2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    X = encode_batch(preds, counts, config.n_obs)
-    fusion, _ = train_fusion_arrays(X, targets, config.n_obs, _hyper(config))
+    fusion, _ = train_fusion_points(
+        preds, counts, targets, config.n_obs, _hyper(config)
+    )
     timings["fusion"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - total_start
 
@@ -283,23 +283,6 @@ def stage2_arrays(
     return preds, counts, targets
 
 
-def collect_stage2(
-    models: list[HmmModel],
-    sessions: list[StateSequence],
-    stride: int = 1,
-    max_len: int | None = None,
-) -> list[tuple[FusionInput, int]]:
-    """Second-stage dataset: every model's prediction at every stride point,
-    paired with the actual next symbol."""
-    if max_len is None:
-        max_len = max(len(s) for s in sessions)
-    preds, counts, targets = stage2_arrays(models, sessions, stride, max_len)
-    return [
-        (FusionInput(hmm_preds=preds[i], count=float(counts[i])), int(targets[i]))
-        for i in range(targets.size)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
@@ -323,16 +306,7 @@ def _fused_point_predictions(model: EnsembleModel, sessions, stride):
     preds, counts, targets = stage2_arrays(
         model_list, sessions, stride, model.max_len
     )
-    fused = np.empty(targets.size, dtype=np.int64)
-    chunk = 8192
-    for start in range(0, targets.size, chunk):
-        X = encode_batch(
-            preds[start : start + chunk], counts[start : start + chunk],
-            model.n_obs,
-        )
-        fused[start : start + chunk] = np.argmax(
-            forward_batch(model.fusion, X), axis=1
-        )
+    fused = fused_predictions(model.fusion, preds, counts, model.n_obs)
     return fused, preds, targets
 
 
@@ -521,12 +495,13 @@ def sweep_k(
 
     curve = []
     for k in ks:
-        X = encode_batch(train_preds[:, :k], train_counts, config.n_obs)
-        fusion, _ = train_fusion_arrays(
-            X, train_targets, config.n_obs, _hyper(config)
+        fusion, _ = train_fusion_points(
+            train_preds[:, :k], train_counts, train_targets, config.n_obs,
+            _hyper(config),
         )
-        Xt = encode_batch(test_preds[:, :k], test_counts, config.n_obs)
-        got = np.argmax(forward_batch(fusion, Xt), axis=1)
+        got = fused_predictions(
+            fusion, test_preds[:, :k], test_counts, config.n_obs
+        )
         error = 1.0 - float((got == test_targets).mean())
         curve.append((k, error))
     return curve
@@ -610,10 +585,9 @@ def feature_importance_report(
         model_list, sessions, config.stride, model.max_len,
         parallel=config.parallel, workers=config.workers,
     )
-    X = encode_batch(preds, counts, model.n_obs)
     names = [f"hmm_{length}" for length in model.selected_lengths]
     return feature_importance(
-        X, targets, model.k, model.n_obs, _hyper(config), names,
+        preds, counts, targets, model.n_obs, _hyper(config), names,
         n_retrain=n_retrain,
     )
 

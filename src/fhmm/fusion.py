@@ -94,18 +94,46 @@ def encode(inp: FusionInput, k: int, n_obs: int) -> np.ndarray:
 
 def encode_batch(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
     """Vectorized encode for a (P, K) prediction matrix and (P,) counts."""
+    preds, counts = _checked_points(preds, counts, n_obs)
+    return _encode_rows(preds, counts, n_obs)
+
+
+def _checked_points(preds, counts, n_obs: int):
+    """encode's checks, once over a whole (P, K) matrix and its counts."""
+    preds = np.asarray(preds)
+    counts = np.asarray(counts, dtype=np.float64)
+    if preds.ndim != 2:
+        raise DomainError(
+            f"predictions must be a (P, K) matrix, got shape {preds.shape}"
+        )
+    if counts.shape != (preds.shape[0],):
+        raise DomainError(
+            f"{counts.size} counts for {preds.shape[0]} prediction rows"
+        )
+    if preds.size and (preds.min() < 0 or preds.max() >= n_obs):
+        raise DomainError("prediction symbol out of range")
+    if not ((counts >= 0.0) & (counts <= 1.0)).all():
+        raise DomainError("count must lie in [0, 1]")
+    return preds, counts
+
+
+def _checked_targets(targets, n_obs: int, n: int) -> np.ndarray:
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n,):
+        raise DomainError(f"{targets.size} targets for {n} points")
+    if (targets < 0).any() or (targets >= n_obs).any():
+        raise DomainError("target symbol out of range")
+    return targets
+
+
+def _encode_rows(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
+    """encode_batch without the checks, for rows already checked."""
     p, k = preds.shape
     X = np.zeros((p, k * n_obs + 1))
     cols = np.arange(k)[None, :] * n_obs + preds
     X[np.arange(p)[:, None], cols] = 1.0
     X[:, -1] = counts
     return X
-
-
-def decode(x: np.ndarray, k: int, n_obs: int) -> FusionInput:
-    """Inverse of encode on the one-hot blocks (argmax per block)."""
-    blocks = x[: k * n_obs].reshape(k, n_obs)
-    return FusionInput(hmm_preds=np.argmax(blocks, axis=1), count=float(x[-1]))
 
 
 def init_network(
@@ -144,6 +172,23 @@ def forward_batch(net: FusionNetwork, X: np.ndarray) -> np.ndarray:
         raise DomainError("input dimension mismatch")
     hidden = np.maximum(0.0, X @ net.W + net.c)
     return hidden @ net.w + net.b
+
+
+PREDICT_ROWS = 8192
+
+
+def fused_predictions(
+    net: FusionNetwork, preds: np.ndarray, counts: np.ndarray, n_obs: int
+) -> np.ndarray:
+    """The fused prediction (argmax) at every point of a (P, K) matrix,
+    encoding PREDICT_ROWS points at a time."""
+    preds, counts = _checked_points(preds, counts, n_obs)
+    out = np.empty(preds.shape[0], dtype=np.int64)
+    for start in range(0, out.size, PREDICT_ROWS):
+        rows = slice(start, start + PREDICT_ROWS)
+        X = _encode_rows(preds[rows], counts[rows], n_obs)
+        out[rows] = np.argmax(forward_batch(net, X), axis=1)
+    return out
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -186,45 +231,57 @@ def cost_and_gradients(
 
 
 def one_hot_targets(targets: np.ndarray, n_obs: int) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.int64)
-    if (targets < 0).any() or (targets >= n_obs).any():
-        raise DomainError("target symbol out of range")
-    Y = np.zeros((targets.size, n_obs))
-    Y[np.arange(targets.size), targets] = 1.0
-    return Y
+    targets = _checked_targets(targets, n_obs, np.size(targets))
+    return np.eye(n_obs)[targets]
 
 
-def train_fusion(
-    examples: list[tuple[FusionInput, int]],
-    k: int,
+def train_fusion_points(
+    preds: np.ndarray,
+    counts: np.ndarray,
+    targets: np.ndarray,
     n_obs: int,
     hyper: FusionHyper,
 ) -> tuple[FusionNetwork, list[float]]:
-    """Mini-batch gradient descent; returns the net and per-epoch mean cost."""
-    if not examples:
-        raise DomainError("need at least one training example")
-    preds = np.stack([inp.hmm_preds for inp, _ in examples])
-    counts = np.array([inp.count for inp, _ in examples])
-    targets = np.array([t for _, t in examples], dtype=np.int64)
-    X = encode_batch(preds, counts, n_obs)
-    return train_fusion_arrays(X, targets, n_obs, hyper)
+    """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
+    counts and (P,) targets; returns the net and per-epoch mean cost.
+
+    Each minibatch is encoded on its own, so the dense (P, K*M+1) input
+    matrix is never built.
+    """
+    preds, counts = _checked_points(preds, counts, n_obs)
+    targets = _checked_targets(targets, n_obs, preds.shape[0])
+    return _train(
+        lambda idx: _encode_rows(preds[idx], counts[idx], n_obs),
+        preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
+    )
 
 
 def train_fusion_arrays(
     X: np.ndarray, targets: np.ndarray, n_obs: int, hyper: FusionHyper
 ) -> tuple[FusionNetwork, list[float]]:
+    """train_fusion_points on inputs already encoded as one (P, D) matrix."""
+    targets = _checked_targets(targets, n_obs, X.shape[0])
+    return _train(lambda idx: X[idx], X.shape[1], targets, n_obs, hyper)
+
+
+def _train(rows, n_inputs: int, targets: np.ndarray, n_obs: int,
+           hyper: FusionHyper) -> tuple[FusionNetwork, list[float]]:
+    """The training loop; `rows(idx)` gives the encoded inputs of points idx.
+    Each minibatch's one-hot targets are rows of an identity matrix."""
     hyper.validate()
-    Y = one_hot_targets(targets, n_obs)
-    net = init_network(X.shape[1], n_obs, hyper)
+    n = targets.size
+    if n == 0:
+        raise DomainError("need at least one training example")
+    eye = np.eye(n_obs)
+    net = init_network(n_inputs, n_obs, hyper)
     rng = np.random.default_rng(hyper.seed + 1)
-    n = X.shape[0]
     trace: list[float] = []
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         epoch_costs = []
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
-            cost, grads = cost_and_gradients(net, X[idx], Y[idx])
+            cost, grads = cost_and_gradients(net, rows(idx), eye[targets[idx]])
             if not np.isfinite(cost):
                 raise TrainingDivergedError(epoch)
             net.W -= hyper.lr * grads["W"]
@@ -261,9 +318,9 @@ class FeatureImportance:
 
 
 def feature_importance(
-    X: np.ndarray,
+    preds: np.ndarray,
+    counts: np.ndarray,
     targets: np.ndarray,
-    k: int,
     n_obs: int,
     hyper: FusionHyper,
     feature_names: list[str],
@@ -274,12 +331,14 @@ def feature_importance(
     feature_names must list the K model features in block order; the count
     feature is appended automatically.
     """
+    preds, counts = _checked_points(preds, counts, n_obs)
+    k = preds.shape[1]
     if len(feature_names) != k:
         raise DomainError("need one feature name per prediction block")
     all_masses = []
     for i in range(n_retrain):
         run = FusionHyper(**{**hyper.__dict__, "seed": hyper.seed + i})
-        net, _ = train_fusion_arrays(X, targets, n_obs, run)
+        net, _ = train_fusion_points(preds, counts, targets, n_obs, run)
         all_masses.append(input_block_weights(net, k, n_obs))
     stacked = np.stack(all_masses)
     means = stacked.mean(axis=0)

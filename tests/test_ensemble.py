@@ -17,7 +17,6 @@ from fhmm.config import RunConfig
 from fhmm.ensemble import (
     EnsembleModel,
     _fused_point_predictions,
-    collect_stage2,
     evaluate,
     feature_importance_report,
     load_ensemble,
@@ -207,20 +206,19 @@ class TestCollectStage2:
     def test_enumeration_of_points(self):
         models = [_cycle_model([0, 1]), _cycle_model([1, 2])]
         session = make_seq([0, 1, 2], "s")
-        examples = collect_stage2(models, [session], stride=1, max_len=4)
-        assert len(examples) == 2
-        assert [target for _, target in examples] == [1, 2]
-        first_input, _ = examples[0]
-        assert first_input.hmm_preds.shape == (2,)
-        assert first_input.count == pytest.approx(1 / 4)
+        preds, counts, targets = stage2_arrays(models, [session], 1, 4)
+        assert targets.size == 2
+        assert targets.tolist() == [1, 2]
+        assert preds.shape == (2, 2)
+        assert counts[0] == pytest.approx(1 / 4)
 
     def test_stride_halves_point_count(self):
         models = [_cycle_model([0, 1])]
         sessions = [make_seq([0, 1] * 5, f"s{i}") for i in range(4)]
-        full = collect_stage2(models, sessions, stride=1)
-        half = collect_stage2(models, sessions, stride=2)
-        assert len(full) == 4 * 9
-        assert abs(len(full) / 2 - len(half)) <= 4  # +-1 point per session
+        _, _, full = stage2_arrays(models, sessions, 1, 10)
+        _, _, half = stage2_arrays(models, sessions, 2, 10)
+        assert full.size == 4 * 9
+        assert abs(full.size / 2 - half.size) <= 4  # +-1 point per session
 
     def test_targets_match_next_symbol_distribution(self):
         rng = np.random.default_rng(3)
@@ -229,8 +227,9 @@ class TestCollectStage2:
             for i in range(60)
         ]
         models = [_cycle_model([0, 1], n_obs=4)]
-        examples = collect_stage2(models, sessions, stride=1)
-        targets = np.array([t for _, t in examples])
+        _, _, targets = stage2_arrays(
+            models, sessions, 1, max(len(s) for s in sessions)
+        )
         expected = np.concatenate([s.symbols[1:] for s in sessions])
         counts_got = np.bincount(targets, minlength=4)
         counts_expected = np.bincount(expected, minlength=4)
@@ -239,16 +238,16 @@ class TestCollectStage2:
     def test_preds_match_predict_next(self):
         models = [_cycle_model([0, 1]), _cycle_model([3, 4, 5])]
         sessions = [make_seq([0, 1, 0, 1, 0], "x")]
-        examples = collect_stage2(models, sessions, stride=1, max_len=5)
-        for t, (inp, _) in enumerate(examples, start=1):
+        preds, _, _ = stage2_arrays(models, sessions, 1, 5)
+        for t, row in enumerate(preds, start=1):
             prefix = StateSequence(sessions[0].symbols[:t])
             for k, model in enumerate(models):
                 expected, _ = predict_next(model, prefix)
-                assert inp.hmm_preds[k] == expected
+                assert row[k] == expected
 
     def test_short_sessions_rejected(self):
         with pytest.raises(DomainError):
-            collect_stage2([_cycle_model([0, 1])], [make_seq([0])], stride=1)
+            stage2_arrays([_cycle_model([0, 1])], [make_seq([0])], 1, 1)
 
 
 class TestPredict:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,20 +10,20 @@ from fhmm.fusion import (
     FusionInput,
     FusionNetwork,
     cost_and_gradients,
-    decode,
     encode,
     encode_batch,
     feature_importance,
     format_importance_report,
     forward,
     forward_batch,
+    fused_predictions,
     fusion_from_doc,
     fusion_to_doc,
     init_network,
     input_block_weights,
     one_hot_targets,
-    train_fusion,
     train_fusion_arrays,
+    train_fusion_points,
 )
 
 import oracles
@@ -54,9 +56,9 @@ class TestEncode:
         )
         count = data.draw(st.floats(0, 1, allow_nan=False))
         x = encode(FusionInput(preds, count), k=k, n_obs=m)
-        back = decode(x, k=k, n_obs=m)
-        np.testing.assert_array_equal(back.hmm_preds, preds)
-        assert back.count == pytest.approx(count)
+        back = np.argmax(x[: k * m].reshape(k, m), axis=1)
+        np.testing.assert_array_equal(back, preds)
+        assert x[-1] == pytest.approx(count)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
@@ -67,6 +69,13 @@ class TestEncode:
             np.testing.assert_array_equal(
                 X[i], encode(FusionInput(preds[i], counts[i]), 3, 4)
             )
+
+    def test_batch_rejects_what_single_rejects(self):
+        # a 3 once landed in the next block and a -1 in the count column
+        with pytest.raises(DomainError, match="prediction symbol"):
+            encode_batch(np.array([[3, 0], [-1, 1]]), np.array([0.5, 0.2]), 3)
+        with pytest.raises(DomainError, match="count"):
+            encode_batch(np.array([[0, 0]]), np.array([1.5]), 3)
 
 
 class TestForward:
@@ -174,11 +183,13 @@ class TestGradients:
 class TestTraining:
     def test_memorizes_single_example(self):
         inp = FusionInput([1, 2], 0.25)
-        examples = [(inp, 2)]
         hyper = FusionHyper(
             hidden_width=8, lr=0.05, l2=0.0, epochs=400, batch=4, seed=0
         )
-        net, trace = train_fusion(examples, k=2, n_obs=3, hyper=hyper)
+        net, trace = train_fusion_points(
+            inp.hmm_preds[None, :], np.array([inp.count]), np.array([2]),
+            3, hyper,
+        )
         assert trace[-1] < 1e-4
         diffs = np.diff(trace)
         assert (diffs <= 1e-12).all()
@@ -192,14 +203,12 @@ class TestTraining:
         preds = rng.integers(0, m, size=(n, k))
         counts = rng.random(n)
         targets = preds[:, 0].copy()
-        X = encode_batch(preds, counts, m)
         hyper = FusionHyper(hidden_width=30, lr=0.1, l2=0.0, epochs=60,
                             batch=64, seed=1)
-        net, _ = train_fusion_arrays(X, targets, m, hyper)
+        net, _ = train_fusion_points(preds, counts, targets, m, hyper)
         held_preds = rng.integers(0, m, size=(500, k))
         held_counts = rng.random(500)
-        Xh = encode_batch(held_preds, held_counts, m)
-        got = np.argmax(forward_batch(net, Xh), axis=1)
+        got = fused_predictions(net, held_preds, held_counts, m)
         agreement = (got == held_preds[:, 0]).mean()
         assert agreement >= 0.99
 
@@ -228,7 +237,96 @@ class TestTraining:
 
     def test_empty_examples_rejected(self):
         with pytest.raises(DomainError):
-            train_fusion([], k=1, n_obs=2, hyper=FusionHyper())
+            train_fusion_points(
+                np.empty((0, 1), dtype=np.int64), np.empty(0),
+                np.empty(0, dtype=np.int64), 2, FusionHyper(),
+            )
+
+
+def _points(seed, p, k, m):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, m, size=(p, k)), rng.random(p),
+        rng.integers(0, m, size=p),
+    )
+
+
+def _dense_reference(X, Y, hyper):
+    """The training loop over a dense input and a dense one-hot target
+    matrix, written out step by step."""
+    net = init_network(X.shape[1], Y.shape[1], hyper)
+    rng = np.random.default_rng(hyper.seed + 1)
+    trace = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(X.shape[0])
+        costs = []
+        for start in range(0, X.shape[0], hyper.batch):
+            idx = order[start : start + hyper.batch]
+            cost, grads = cost_and_gradients(net, X[idx], Y[idx])
+            for name in ("W", "c", "w", "b"):
+                getattr(net, name)[...] -= hyper.lr * grads[name]
+            costs.append(cost)
+        trace.append(float(np.mean(costs)))
+    return net, trace
+
+
+class TestPointsEntry:
+    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
+    def test_bit_identical_to_the_dense_matrix(self, loss):
+        preds, counts, targets = _points(4, 1000, 5, 6)  # 1000 = 15*64 + 40
+        hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
+                            batch=64, seed=7, loss=loss)
+        X = encode_batch(preds, counts, 6)
+        ref, ref_trace = _dense_reference(X, one_hot_targets(targets, 6), hyper)
+        for net, trace in (
+            train_fusion_points(preds, counts, targets, 6, hyper),
+            train_fusion_arrays(X, targets, 6, hyper),
+        ):
+            assert trace == ref_trace
+            for name in ("W", "c", "w", "b"):
+                assert np.array_equal(getattr(net, name), getattr(ref, name))
+
+    def test_never_builds_the_dense_matrix(self):
+        p, k, m = 50_000, 8, 19
+        preds, counts, targets = _points(5, p, k, m)
+        hyper = FusionHyper(epochs=1, batch=512, seed=0)
+        tracemalloc.start()
+        try:
+            train_fusion_points(preds, counts, targets, m, hyper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * (k * m + 1) * 8 / 4
+
+    @pytest.mark.parametrize("bad", [
+        {"preds": [[3, 0], [1, 1]]},
+        {"preds": [[0, 0], [-1, 1]]},
+        {"counts": [0.5, 1.5]},
+        {"counts": [-0.1, 0.2]},
+        {"counts": [np.nan, 0.2]},
+        {"counts": [0.5, 0.2, 0.1]},
+        {"targets": [0, 3]},
+        {"targets": [-1, 0]},
+        {"targets": [0, 1, 2]},
+    ])
+    def test_range_checks(self, bad):
+        args = {"preds": [[1, 0], [2, 1]], "counts": [0.5, 0.2],
+                "targets": [0, 2], **bad}
+        with pytest.raises(DomainError):
+            train_fusion_points(
+                np.array(args["preds"]), np.array(args["counts"]),
+                np.array(args["targets"]), 3, FusionHyper(epochs=1),
+            )
+
+    def test_fused_predictions_match_one_dense_pass(self):
+        preds, counts, _ = _points(6, 20_000, 4, 5)  # three 8192-row chunks
+        net = init_network(4 * 5 + 1, 5, FusionHyper(hidden_width=7, seed=2))
+        whole = forward_batch(net, encode_batch(preds, counts, 5))
+        np.testing.assert_array_equal(
+            fused_predictions(net, preds, counts, 5), np.argmax(whole, axis=1)
+        )
+        with pytest.raises(DomainError):
+            fused_predictions(net, preds, counts + 1.0, 5)
 
 
 class TestFeatureImportance:
@@ -238,13 +336,12 @@ class TestFeatureImportance:
         preds = rng.integers(0, m, size=(400, k))
         counts = rng.random(400)
         targets = preds[:, 1].copy()
-        X = encode_batch(preds, counts, m)
         hyper = FusionHyper(hidden_width=6, epochs=8, seed=5)
         rows1 = feature_importance(
-            X, targets, k, m, hyper, ["hmm_4", "hmm_9"], n_retrain=3
+            preds, counts, targets, m, hyper, ["hmm_4", "hmm_9"], n_retrain=3
         )
         rows2 = feature_importance(
-            X, targets, k, m, hyper, ["hmm_4", "hmm_9"], n_retrain=3
+            preds, counts, targets, m, hyper, ["hmm_4", "hmm_9"], n_retrain=3
         )
         assert [(r.name, r.weight, r.std) for r in rows1] == [
             (r.name, r.weight, r.std) for r in rows2
