@@ -1,9 +1,10 @@
 """End-to-end fusion-ensemble orchestration.
 
 Pipeline: partition sessions by length and select K diverse groups, train one
-HMM per group (sequentially or in a process pool, with identical results),
-collect the second-stage dataset of per-model predictions, train the fusion
-network, and evaluate next-state accuracy against baselines.
+HMM per group in one stacked EM pass (or shares of them in a process pool,
+with identical results), collect the second-stage dataset of per-model
+predictions, train the fusion network, and evaluate next-state accuracy
+against baselines.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .fusion import (
 from .hmm import (
     HmmModel,
     ModelStack,
-    baum_welch_fit,
     fit_converged,
+    fit_groups,
     model_from_doc,
     model_to_doc,
     point_offsets,
@@ -45,15 +46,7 @@ from .hmm import (
 )
 from .ingest import default_mapping
 from .markov import MarkovChainModel
-from .partition import (
-    FrequencyArray,
-    PartitionPlan,
-    dissimilarity_matrix,
-    frequency_array,
-    group_by_length,
-    plan_to_doc,
-    select_k,
-)
+from .partition import FrequencyArray, PartitionPlan, build_plan, plan_to_doc
 from .sequences import StateSequence
 from . import serialize
 
@@ -143,24 +136,61 @@ def _run_tasks(fn, payloads, parallel: bool, workers: int):
 
 
 def _fit_task(payload):
-    length, seqs, config = payload
-    model, trace = baum_welch_fit(
-        seqs,
-        n_hidden=config.n_hidden,
-        n_obs=config.n_obs,
-        seed=config.base_seed ^ length,
-        tol=config.tol,
-        max_iters=config.max_iters,
+    groups, seeds, config = payload
+    return fit_groups(
+        groups, seeds, n_hidden=config.n_hidden, n_obs=config.n_obs,
+        tol=config.tol, max_iters=config.max_iters,
     )
-    return length, model, fit_converged(trace, config.tol), len(trace)
 
 
-def _fit_selected(groups, lengths: list[int], config: RunConfig):
-    """One HMM per selected length: (length, model, converged, iterations)
-    in selection order."""
-    group_map = dict(groups)
-    payloads = [(length, group_map[length], config) for length in lengths]
-    return _run_tasks(_fit_task, payloads, config.parallel, config.workers)
+def _deal(costs: list[int], n_shares: int) -> list[list[int]]:
+    """Indices of `costs` dealt into at most `n_shares` shares of about equal
+    total: largest first, each to the lightest share so far."""
+    loads = [0] * min(n_shares, len(costs))
+    shares: list[list[int]] = [[] for _ in loads]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += costs[i]
+    return shares
+
+
+def _fit_selected(sessions, lengths: list[int], config: RunConfig):
+    """One HMM per selected length, fitted from the sessions of that length:
+    (length, model, converged, iterations) in selection order.
+
+    One stacked EM pass fits them all; in parallel, the groups are dealt to
+    the workers by cost (length x sessions) and each worker runs the pass
+    over its share.  A group's arithmetic does not depend on the others in
+    its pass, so the deal changes no result.
+    """
+    by_length: dict[int, list] = {length: [] for length in lengths}
+    for s in sessions:
+        if len(s) in by_length:
+            by_length[len(s)].append(s)
+    groups = [by_length[length] for length in lengths]
+    seeds = [config.base_seed ^ length for length in lengths]
+    if config.parallel:
+        shares = _deal(
+            [length * len(g) for length, g in zip(lengths, groups)],
+            _pool_size(config.workers),
+        )
+    else:
+        shares = [list(range(len(lengths)))]
+    parts = _run_tasks(
+        _fit_task,
+        [([groups[i] for i in share], [seeds[i] for i in share], config)
+         for share in shares],
+        config.parallel, config.workers,
+    )
+    fits: list = [None] * len(lengths)
+    for share, part in zip(shares, parts):
+        for i, fit in zip(share, part):
+            fits[i] = fit
+    return [
+        (length, model, fit_converged(trace, config.tol), len(trace))
+        for length, (model, trace) in zip(lengths, fits)
+    ]
 
 
 def _points_task(payload):
@@ -189,14 +219,11 @@ def train_ensemble(
     total_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    groups = group_by_length(sessions)
-    freq_arrays = [frequency_array(seqs, config.n_obs) for _, seqs in groups]
-    distances = dissimilarity_matrix(freq_arrays)
-    plan = select_k(groups, freq_arrays, distances, config.k, config.min_support)
+    plan = build_plan(sessions, config.n_obs, config.k, config.min_support)
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    results = _fit_selected(groups, plan.selected_lengths, config)
+    results = _fit_selected(sessions, plan.selected_lengths, config)
     models = {length: model for length, model, _, _ in results}
     warnings_list = [
         f"hmm_{length} stopped at the iteration cap ({iters} iterations)"
@@ -474,12 +501,8 @@ def sweep_k(
     train, test = split_sessions(sessions, config.train_frac, config.base_seed)
     k_max = ks[-1]
 
-    groups = group_by_length(train)
-    freq_arrays = [frequency_array(seqs, config.n_obs) for _, seqs in groups]
-    distances = dissimilarity_matrix(freq_arrays)
-    plan = select_k(groups, freq_arrays, distances, k_max, config.min_support)
-
-    results = _fit_selected(groups, plan.selected_lengths, config)
+    plan = build_plan(train, config.n_obs, k_max, config.min_support)
+    results = _fit_selected(train, plan.selected_lengths, config)
     models = {length: model for length, model, _, _ in results}
     model_list = [models[length] for length in plan.selected_lengths]
 
@@ -531,45 +554,105 @@ def save_ensemble(model: EnsembleModel, out_dir: str | Path) -> None:
     serialize.write_doc(out / "fusion.json", fusion_to_doc(model.fusion))
 
 
-def load_ensemble(model_dir: str | Path) -> EnsembleModel:
-    root = Path(model_dir)
-    meta = serialize.read_doc(root / "ensemble.json")
-    if meta.get("schema") != ENSEMBLE_SCHEMA:
-        raise DomainError(f"unexpected ensemble schema {meta.get('schema')!r}")
-    selected = [int(v) for v in meta["selected_lengths"]]
-    models = {
-        length: model_from_doc(serialize.read_doc(root / f"hmm_{length}.json"))
-        for length in selected
+def _read_checked(path: Path, convert):
+    """convert(the document at `path`); a missing field or a failed check
+    raises DomainError naming the file."""
+    doc = serialize.read_doc(path)
+    try:
+        return convert(doc)
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing field {exc.args[0]!r}") from None
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+def _meta_from_doc(doc: dict) -> dict:
+    if doc.get("schema") != ENSEMBLE_SCHEMA:
+        raise DomainError(f"unexpected ensemble schema {doc.get('schema')!r}")
+    return {
+        "n_obs": int(doc["n_obs"]),
+        "base_seed": int(doc["base_seed"]),
+        "max_len": int(doc["max_len"]),
+        "selected_lengths": [int(v) for v in doc["selected_lengths"]],
+        "alphabet": list(doc["alphabet"]),
+        "warnings": list(doc["warnings"]),
     }
-    plan_doc = serialize.read_doc(root / "plan.json")
-    supports = plan_doc["group_supports"]
+
+
+def _plan_from_doc(doc: dict, selected: list[int]) -> PartitionPlan:
+    supports = doc["group_supports"]
     freq_arrays = [
         FrequencyArray(
             length_key=int(key),
-            probs=serialize.array_from_doc(plan_doc["frequency_arrays"][key]),
+            probs=serialize.array_from_doc(doc["frequency_arrays"][key]),
             support=int(supports[key]),
         )
-        for key in sorted(plan_doc["frequency_arrays"], key=int)
+        for key in sorted(doc["frequency_arrays"], key=int)
     ]
-    plan = PartitionPlan(
+    return PartitionPlan(
         groups=[],
         freq_arrays=freq_arrays,
-        distances=serialize.array_from_doc(plan_doc["distance_matrix"]),
-        ranks={int(k): v for k, v in plan_doc["ranks"].items()},
+        distances=serialize.array_from_doc(doc["distance_matrix"]),
+        ranks={int(k): v for k, v in doc["ranks"].items()},
         selected_lengths=selected,
-        coverage=float(plan_doc["coverage"]),
-        total_sessions=int(plan_doc["total_sessions"]),
-        min_support=int(plan_doc["min_support"]),
+        coverage=float(doc["coverage"]),
+        total_sessions=int(doc["total_sessions"]),
+        min_support=int(doc["min_support"]),
     )
+
+
+def _check_fusion_shapes(fusion: FusionNetwork, k: int, n_obs: int) -> None:
+    """The fusion network must read k*n_obs+1 inputs and score n_obs
+    symbols."""
+    H = fusion.W.shape[1] if fusion.W.ndim == 2 else -1
+    expected = {
+        "W": (k * n_obs + 1, H), "c": (H,), "w": (H, n_obs), "b": (n_obs,),
+    }
+    for name, shape in expected.items():
+        got = getattr(fusion, name).shape
+        if got != shape:
+            raise DomainError(
+                f"field {name!r} has shape {got}, expected {shape} "
+                f"for k={k} and n_obs={n_obs}"
+            )
+
+
+def load_ensemble(model_dir: str | Path) -> EnsembleModel:
+    """The model saved in `model_dir`.  A missing field, or a file that
+    disagrees with ensemble.json's k and n_obs, raises DomainError naming
+    the file."""
+    root = Path(model_dir)
+    meta = _read_checked(root / "ensemble.json", _meta_from_doc)
+    selected, n_obs = meta["selected_lengths"], meta["n_obs"]
+
+    def hmm_from_doc(doc):
+        model = model_from_doc(doc)
+        if model.n_obs != n_obs:
+            raise DomainError(
+                f"field 'n_obs' is {model.n_obs}, the ensemble's is {n_obs}"
+            )
+        return model
+
+    def checked_fusion(doc):
+        fusion = fusion_from_doc(doc)
+        _check_fusion_shapes(fusion, len(selected), n_obs)
+        return fusion
+
+    models = {
+        length: _read_checked(root / f"hmm_{length}.json", hmm_from_doc)
+        for length in selected
+    }
     return EnsembleModel(
-        plan=plan,
+        plan=_read_checked(
+            root / "plan.json", lambda doc: _plan_from_doc(doc, selected)
+        ),
         models=models,
-        fusion=fusion_from_doc(serialize.read_doc(root / "fusion.json")),
-        n_obs=int(meta["n_obs"]),
-        alphabet=list(meta["alphabet"]),
-        base_seed=int(meta["base_seed"]),
-        max_len=int(meta["max_len"]),
-        warnings=list(meta["warnings"]),
+        fusion=_read_checked(root / "fusion.json", checked_fusion),
+        alphabet=meta["alphabet"],
+        n_obs=n_obs,
+        base_seed=meta["base_seed"],
+        max_len=meta["max_len"],
+        warnings=meta["warnings"],
     )
 
 

@@ -391,11 +391,3 @@ def fusion_from_doc(doc: dict) -> FusionNetwork:
         lr=float(doc["lr"]),
         loss=doc["loss"],
     )
-
-
-def save_fusion(net: FusionNetwork, path) -> None:
-    serialize.write_doc(path, fusion_to_doc(net))
-
-
-def load_fusion(path) -> FusionNetwork:
-    return fusion_from_doc(serialize.read_doc(path))

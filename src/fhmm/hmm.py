@@ -1,8 +1,9 @@
 """Discrete-observation hidden Markov models.
 
 Provides the model representation, numerically scaled forward-backward
-inference, batch Baum-Welch training over many sequences, next-symbol
-prediction by likelihood maximization, and generative sampling.
+inference, batch Baum-Welch training over many sequences, one stacked EM
+pass that fits one model per single-length group, next-symbol prediction by
+likelihood maximization, and generative sampling.
 
 Scaling convention (fixed for the whole package): at each step t the scale
 factor is the reciprocal of the unscaled forward row sum, alpha rows are
@@ -88,36 +89,50 @@ def random_model(n_hidden: int, n_obs: int, seed: int) -> HmmModel:
     A = rng.dirichlet(np.ones(n_hidden), size=n_hidden)
     B = rng.dirichlet(np.ones(n_obs), size=n_hidden)
     pi = rng.dirichlet(np.ones(n_hidden))
-    B = np.vstack([_floor_row(row, EMISSION_FLOOR) for row in B])
+    B = _floor_rows(B, EMISSION_FLOOR)
     return HmmModel(n_hidden=n_hidden, n_obs=n_obs, A=A, B=B, pi=pi, seed=seed)
 
 
-def _floor_row(weights: np.ndarray, floor: float) -> np.ndarray:
-    """Distribution proportional to `weights` maximizing sum(w*log p) subject
-    to p >= floor.
+def _floor_rows(weights: np.ndarray, floor: float) -> np.ndarray:
+    """Each row of `weights` as the distribution proportional to it that
+    maximizes sum(w*log p) subject to p >= floor.
 
     Entries whose proportional share would fall below the floor are pinned at
-    it and the remaining mass is split proportionally among the rest.  Exact
-    constrained maximization keeps Baum-Welch monotone when used as the
-    emission M-step.
+    it and the remaining mass is split proportionally among the rest, round
+    after round until no share falls below.  Exact constrained maximization
+    keeps Baum-Welch monotone when used as the emission M-step.  All rows
+    run each round together; a row's free weights are summed in the order
+    and at the length a one-row solve would sum them, so every row equals
+    its own solve bit for bit.
     """
-    m = weights.size
+    n, m = weights.shape
     if floor * m >= 1.0:
         raise DomainError("floor too large for the alphabet size")
-    pinned = np.zeros(m, dtype=bool)
-    out = np.empty(m)
+    out = np.empty((n, m))
+    pinned = np.zeros((n, m), dtype=bool)
+    rows = np.arange(n)                      # rows still being solved
     for _ in range(m):
-        free = ~pinned
-        total = weights[free].sum()
-        avail = 1.0 - pinned.sum() * floor
-        if total <= 0.0:
-            out[free] = avail / free.sum()
+        if not rows.size:
             break
-        out[free] = weights[free] * (avail / total)
-        newly = free & (out < floor)
-        if not newly.any():
-            break
-        pinned |= newly
+        w, pin = weights[rows], pinned[rows]
+        n_free = m - pin.sum(axis=1)
+        avail = 1.0 - (m - n_free) * floor
+        # the free weights packed to the front, summed per free count
+        order = np.argsort(pin, axis=1, kind="stable")
+        packed = np.take_along_axis(w, order, axis=1)
+        total = np.empty(rows.size)
+        for f in np.unique(n_free).tolist():
+            same = n_free == f
+            total[same] = packed[same, :f].sum(axis=1)
+        empty = total <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = w * (avail / total)[:, None]
+        share[empty] = (avail[empty] / n_free[empty])[:, None]
+        out[rows] = share                  # pinned entries are set last
+        newly = ~pin & (share < floor)
+        newly[empty] = False
+        pinned[rows] = pin | newly
+        rows = rows[newly.any(axis=1)]
     out[pinned] = floor
     return out
 
@@ -315,22 +330,39 @@ def _block_stats(
     return ll
 
 
-def _m_step(model: HmmModel, stats) -> HmmModel:
-    N, M = model.n_hidden, model.n_obs
-    pi = stats["pi"] / stats["pi"].sum()
-    A = model.A.copy()
-    B = model.B.copy()
-    for i in range(N):
-        # rows renormalize from their own expected counts; a state with no
-        # residual occupancy keeps its old row (it no longer affects the
-        # likelihood, and near-dead states underflow the two accumulation
-        # routes differently)
-        a_total = stats["a_num"][i].sum()
-        if a_total > 0.0:
-            A[i] = stats["a_num"][i] / a_total
-        if stats["b_den"][i] > 0.0:
-            B[i] = _floor_row(stats["b_num"][i], EMISSION_FLOOR)
-    return HmmModel(n_hidden=N, n_obs=M, A=A, B=B, pi=pi, seed=model.seed)
+def _m_step(A: np.ndarray, B: np.ndarray, stats):
+    """Re-estimated (A, B, pi) from one E-step's statistics; `A`, `B` and
+    every statistic may carry a leading axis of models.
+
+    Rows renormalize from their own expected counts; a state with no
+    residual occupancy keeps its old row (it no longer affects the
+    likelihood, and near-dead states underflow the two accumulation routes
+    differently).
+    """
+    pi = stats["pi"] / stats["pi"].sum(axis=-1, keepdims=True)
+    a_total = stats["a_num"].sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.where(a_total > 0.0, stats["a_num"] / a_total, A)
+    B = B.copy()
+    live = stats["b_den"] > 0.0
+    B[live] = _floor_rows(stats["b_num"][live], EMISSION_FLOOR)
+    return A, B, pi
+
+
+def _check_fit_args(sequences, n_hidden: int, n_obs: int | None) -> int:
+    """The alphabet size a fit of `sequences` uses, after checking them."""
+    if not sequences:
+        raise DomainError("need at least one sequence")
+    max_symbol = max(int(s.symbols.max()) for s in sequences)
+    if n_obs is None:
+        n_obs = max_symbol + 1
+    if n_obs <= max_symbol:
+        raise DomainError(
+            f"n_obs={n_obs} too small for observed symbol {max_symbol}"
+        )
+    if n_hidden < 1:
+        raise DomainError("n_hidden must be at least 1")
+    return n_obs
 
 
 def baum_welch_fit(
@@ -349,29 +381,212 @@ def baum_welch_fit(
     after `max_iters` evaluations.  The returned model is always the one that
     produced the final trace entry.
     """
-    if not sequences:
-        raise DomainError("need at least one sequence")
-    max_symbol = max(int(s.symbols.max()) for s in sequences)
-    if n_obs is None:
-        n_obs = max_symbol + 1
-    if n_obs <= max_symbol:
-        raise DomainError(
-            f"n_obs={n_obs} too small for observed symbol {max_symbol}"
-        )
-    if n_hidden < 1:
-        raise DomainError("n_hidden must be at least 1")
-
+    n_obs = _check_fit_args(sequences, n_hidden, n_obs)
     blocks = _em_blocks([s.symbols for s in sequences])
     model = random_model(n_hidden, n_obs, seed)
     trace: list[float] = []
     for iteration in range(max_iters):
         stats, ll = _e_step(model, blocks)
         trace.append(ll)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if fit_converged(trace, tol):
             break
         if iteration < max_iters - 1:
-            model = _m_step(model, stats)
+            A, B, pi = _m_step(model.A, model.B, stats)
+            model = HmmModel(n_hidden, n_obs, A, B, pi, seed=seed)
     return model, trace
+
+
+class _GroupPass:
+    """E-steps of single-length groups, run together in one ragged layout.
+
+    The groups enter longest first, so at each step t < lengths[g] group g
+    holds rows offsets[g] to offsets[g+1] of the rows still running, and
+    those rows are all rows of the groups longer than t.  Elementwise work
+    runs once per step over all those rows.  The products with A run per
+    group on the group's own rows, which `_block_stats` of that group alone
+    multiplies at the same shapes, so each group's statistics equal those of
+    its own fit bit for bit.  The buffers, and the views of them each
+    product reads and writes, are built once and serve every E-step; `A` is
+    updated in place between E-steps.
+    """
+
+    def __init__(
+        self, groups: list[list[np.ndarray]], A: np.ndarray, n_obs: int
+    ):
+        G, N = A.shape[0], A.shape[2]
+        self.A = A
+        self.sizes = [len(g) for g in groups]
+        self.lengths = [g[0].size for g in groups]
+        layout = _ragged([s for g in groups for s in g])
+        self.counts = layout.running.tolist()
+        self.starts = layout.starts.tolist()
+        self.offsets = offsets = np.cumsum([0] + self.sizes).tolist()
+        row = np.arange(layout.obs.size) - np.repeat(
+            layout.starts[:-1], layout.running
+        )
+        group = np.repeat(np.arange(G), self.sizes)[row]
+        # each stored symbol's row of the stacked B.T, and its b_num bin
+        self.emission_rows = group * n_obs + layout.obs
+        # where each group's symbols are stored, in its own layout's order
+        self.own = np.concatenate([
+            (layout.starts[:length, None] + lo + np.arange(size)).ravel()
+            for lo, size, length in zip(offsets, self.sizes, self.lengths)
+        ])
+        self.alpha = np.empty((layout.obs.size, N))
+        self.scale = np.empty(layout.obs.size)
+        self.beta, self.emitted, self.back = np.empty((3, self.counts[0], N))
+        self.outer = np.empty((G, N, N))
+        active = np.searchsorted(
+            -np.array(self.lengths), -np.arange(len(self.counts))
+        )
+        alpha, self.forward, self.backward = self.alpha, [], []
+        for t in range(1, len(self.counts)):
+            p, q, k = self.starts[t - 1], self.starts[t], int(active[t])
+            spans = [(g, offsets[g], offsets[g + 1]) for g in range(k)]
+            self.forward.append([
+                (alpha[p + lo: p + hi], A[g], alpha[q + lo: q + hi])
+                for g, lo, hi in spans
+            ])
+            self.backward.append((k, [
+                (alpha[p + lo: p + hi].T, self.emitted[lo:hi], self.outer[g],
+                 A[g].T, self.back[lo:hi])
+                for g, lo, hi in spans
+            ]))
+
+    def e_step(self, B: np.ndarray, pi: np.ndarray):
+        """Every group's EM statistics, with a leading group axis, and
+        log-likelihood; the arithmetic of `_block_stats`."""
+        G, N, M = B.shape
+        A, alpha, scale = self.A, self.alpha, self.scale
+        counts, starts = self.counts, self.starts
+        BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
+        emissions = np.take(BT, self.emission_rows, axis=0)
+        n = counts[0]
+        pi_rows = np.repeat(pi, self.sizes, axis=0)
+        np.multiply(pi_rows, emissions[:n], out=alpha[:n])
+        _rescale(alpha[:n], scale[:n], 0)
+        for t, products in enumerate(self.forward, start=1):
+            for prev, A_g, out in products:
+                np.matmul(prev, A_g, out=out)
+            q, n = starts[t], counts[t]
+            alpha[q: q + n] *= emissions[q: q + n]
+            _rescale(alpha[q: q + n], scale[q: q + n], t)
+
+        # alpha becomes gamma in place, as in _block_stats
+        T = len(counts)
+        beta, emitted, back = self.beta, self.emitted, self.back
+        beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
+        a_outer = np.zeros((G, N, N))
+        for t in range(T - 1, -1, -1):
+            q, n = starts[t], counts[t]
+            gamma = alpha[q: q + n]
+            gamma *= beta[:n]
+            gamma /= scale[q: q + n, None]
+            if t == 0:
+                break
+            np.multiply(emissions[q: q + n], beta[:n], out=emitted[:n])
+            k, products = self.backward[t - 1]
+            for prev, emitted_g, outer_g, AT_g, back_g in products:
+                np.matmul(prev, emitted_g, out=outer_g)
+                np.matmul(emitted_g, AT_g, out=back_g)
+            a_outer[:k] += self.outer[:k]
+            p, m = starts[t - 1], counts[t - 1]
+            np.multiply(scale[p: p + n, None], back[:n], out=beta[:n])
+            beta[n:m] = scale[p + n: p + m, None]    # rows that end at t-1
+
+        # per-group sums at the group's own shapes: pi over its rows at t=0,
+        # which lead the layout, and log-likelihood over its scale factors,
+        # gathered into its own layout's order
+        logs = np.log(np.take(scale, self.own))
+        stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
+        ll, lo = [], 0
+        for g, (size, length) in enumerate(zip(self.sizes, self.lengths)):
+            hi = lo + size * length
+            first = alpha[self.offsets[g]: self.offsets[g + 1]]
+            stats["pi"][g] = first.sum(axis=0)
+            ll.append(-float(logs[lo:hi].sum()))
+            lo = hi
+        # one bincount per state over all groups; each bin adds in its group's
+        # row order, as the group's own per-state bincount does
+        stats["b_num"] = np.empty((G, N, M))
+        for j in range(N):
+            stats["b_num"][:, j] = np.bincount(
+                self.emission_rows, weights=alpha[:, j], minlength=G * M
+            ).reshape(G, M)
+        # the M-step reads only whether a state's occupancy is positive, and
+        # a sum of non-negative terms is positive exactly when one of them is
+        stats["b_den"] = stats["b_num"].sum(axis=2)
+        return stats, ll
+
+
+def _rescale(a: np.ndarray, scale: np.ndarray, t: int) -> None:
+    """Scale the rows of `a` to sum to one, in place, storing the factors."""
+    s = a.sum(axis=1)
+    if s.min() <= 0.0:
+        raise DegenerateSequenceError(t)
+    np.divide(1.0, s, out=scale)
+    a *= scale[:, None]
+
+
+def fit_groups(
+    groups: list[list[StateSequence]],
+    seeds: list[int],
+    n_hidden: int = DEFAULT_N_HIDDEN,
+    n_obs: int | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> list[tuple[HmmModel, list[float]]]:
+    """One HMM per single-length group, all fitted in one stacked EM pass.
+
+    Returns (model, trace) per group, in input order, each exactly what
+    `baum_welch_fit(groups[g], n_hidden, n_obs, seeds[g], tol, max_iters)`
+    returns.  Every iteration runs one E-step over the rows of all groups
+    still iterating (see `_GroupPass`) and one M-step over all their rows;
+    a group leaves the pass when it converges or reaches `max_iters`.
+    """
+    if len(seeds) != len(groups):
+        raise DomainError("need one seed per group")
+    n_obs = _check_fit_args([s for g in groups for s in g], n_hidden, n_obs)
+    for group in groups:
+        if not group or len({len(s) for s in group}) != 1:
+            raise DomainError("each group needs sequences, all of one length")
+    inits = [random_model(n_hidden, n_obs, seed) for seed in seeds]
+    if max_iters < 1:
+        return [(model, []) for model in inits]
+    order = sorted(range(len(groups)), key=lambda g: -len(groups[g][0]))
+    A = np.stack([inits[g].A for g in order])
+    B = np.stack([inits[g].B for g in order])
+    pi = np.stack([inits[g].pi for g in order])
+    traces: list[list[float]] = [[] for _ in groups]
+    results: list = [None] * len(groups)
+    live = order                             # groups still iterating
+    gp = None
+    while live:
+        if gp is None:
+            gp = _GroupPass(
+                [[s.symbols for s in groups[g]] for g in live], A, n_obs
+            )
+        stats, lls = gp.e_step(B, pi)
+        stay = []
+        for i, g in enumerate(live):
+            traces[g].append(lls[i])
+            if fit_converged(traces[g], tol) or len(traces[g]) == max_iters:
+                model = HmmModel(
+                    n_hidden, n_obs, A[i].copy(), B[i].copy(), pi[i].copy(),
+                    seed=seeds[g],
+                )
+                results[g] = (model, traces[g])
+            else:
+                stay.append(i)
+        if len(stay) < len(live):
+            live = [live[i] for i in stay]
+            A, B, pi = A[stay], B[stay], pi[stay]
+            stats = {name: v[stay] for name, v in stats.items()}
+            gp = None
+        if live:
+            # in place, where the pass's products read it
+            A[...], B, pi = _m_step(A, B, stats)
+    return results
 
 
 def fit_converged(trace: list[float], tol: float = DEFAULT_TOL) -> bool:

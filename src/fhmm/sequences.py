@@ -44,14 +44,3 @@ def check_symbols(seq: StateSequence, n_obs: int) -> None:
             f"sequence {seq.session_id!r} contains symbol {high} "
             f"but the alphabet has only {n_obs} symbols"
         )
-
-
-def as_sequences(raw: list) -> list[StateSequence]:
-    """Coerce a list of int lists / arrays / StateSequences into StateSequences."""
-    out = []
-    for i, item in enumerate(raw):
-        if isinstance(item, StateSequence):
-            out.append(item)
-        else:
-            out.append(StateSequence(np.asarray(item), session_id=f"seq-{i}"))
-    return out

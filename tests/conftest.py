@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,9 +6,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fhmm.hmm import HmmModel
 from fhmm.sequences import StateSequence
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure with @reproduce_failure
+settings.register_profile(
+    "ci", derandomize=True, print_blob=True, deadline=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

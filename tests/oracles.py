@@ -102,3 +102,25 @@ def pairwise_euclidean(vectors) -> np.ndarray:
                 acc += (a - b) ** 2
             out[i, j] = math.sqrt(acc)
     return out
+
+
+def floor_row(weights, floor: float) -> np.ndarray:
+    """One emission row's floored maximum-likelihood distribution, solved
+    alone: pin every share below the floor, split the rest, repeat."""
+    m = weights.size
+    pinned = np.zeros(m, dtype=bool)
+    out = np.empty(m)
+    for _ in range(m):
+        free = ~pinned
+        total = weights[free].sum()
+        avail = 1.0 - pinned.sum() * floor
+        if total <= 0.0:
+            out[free] = avail / free.sum()
+            break
+        out[free] = weights[free] * (avail / total)
+        newly = free & (out < floor)
+        if not newly.any():
+            break
+        pinned |= newly
+    out[pinned] = floor
+    return out

@@ -288,3 +288,63 @@ class TestCli:
         text = table.read_text()
         assert "count" in text
         assert "hmm_" in text
+
+
+class TestLoadValidation:
+    """A damaged or mismatched model directory exits 2 with a message that
+    names the file and the field, before any prediction runs."""
+
+    def _train(self, tmp_path, sessions, config, name="model", k=None):
+        out = tmp_path / name
+        args = ["train", "--sessions", str(sessions), "--out", str(out),
+                "--config", str(config)]
+        if k is not None:
+            args += ["--k", str(k)]
+        assert main(args) == 0
+        return out
+
+    def _predict_error(self, model_dir, capsys):
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_dir), "--prefix", "0,1,0"]
+        )
+        return code, capsys.readouterr().err
+
+    def test_missing_key_exits_2(self, tmp_path, small_sessions_file,
+                                 config_file, capsys):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        path = model_dir / "ensemble.json"
+        doc = json.loads(path.read_text())
+        del doc["max_len"]
+        path.write_text(json.dumps(doc))
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert "ensemble.json" in err and "max_len" in err
+
+    def test_fusion_from_another_k_exits_2(self, tmp_path, small_sessions_file,
+                                           config_file, capsys):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        other = self._train(tmp_path, small_sessions_file, config_file,
+                            name="k1", k=1)
+        (model_dir / "fusion.json").write_bytes(
+            (other / "fusion.json").read_bytes()
+        )
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert "fusion.json" in err and "'W'" in err
+
+    def test_hmm_alphabet_mismatch_exits_2(self, tmp_path, small_sessions_file,
+                                           config_file, capsys):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        length = json.loads(
+            (model_dir / "ensemble.json").read_text()
+        )["selected_lengths"][0]
+        path = model_dir / f"hmm_{length}.json"
+        doc = json.loads(path.read_text())
+        # a valid three-symbol model in a two-symbol ensemble
+        doc["n_obs"] = 3
+        doc["b"] = [row + ["0"] for row in doc["b"]]
+        path.write_text(json.dumps(doc))
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert path.name in err and "n_obs" in err

@@ -202,6 +202,37 @@ class TestTrainEnsemble:
             train_ensemble([], _small_config())
 
 
+class TestFitSelected:
+    def test_deal_balances_cost(self):
+        shares = ensemble._deal([5, 40, 7, 30, 12, 9], 3)
+        assert sorted(i for share in shares for i in share) == list(range(6))
+        assert shares == [[1], [3], [4, 5, 2, 0]]          # loads 40, 30, 33
+        assert ensemble._deal([3, 1], 4) == [[0], [1]]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_deal_matches_one_pass(self, workers):
+        sessions = _small_corpus(seed=4, n=300).sessions
+        counts: dict[int, int] = {}
+        for s in sessions:
+            counts[len(s)] = counts.get(len(s), 0) + 1
+        lengths = sorted(counts, key=lambda length: -counts[length])[:5]
+        config = _small_config(max_iters=30)
+        want = ensemble._fit_selected(sessions, lengths, config)
+        got = ensemble._fit_selected(
+            sessions, lengths,
+            dataclasses.replace(config, parallel=True, workers=workers),
+        )
+        assert [row[0] for row in got] == lengths
+        for (_, model, converged, iters), (_, ref, ref_conv, ref_iters) in zip(
+            got, want
+        ):
+            assert (converged, iters) == (ref_conv, ref_iters)
+            for name in ("A", "B", "pi"):
+                np.testing.assert_array_equal(
+                    getattr(model, name), getattr(ref, name)
+                )
+
+
 class TestCollectStage2:
     def test_enumeration_of_points(self):
         models = [_cycle_model([0, 1]), _cycle_model([1, 2])]

@@ -252,6 +252,113 @@ class TestEStep:
         assert [len(b.lengths) for b in hmm._em_blocks(seqs)] == [19]
 
 
+class TestMStep:
+    def test_floor_rows_equal_one_row_solves(self):
+        rng = np.random.default_rng(3)
+        m = 19
+        weights = rng.random((300, m)) ** rng.uniform(1, 60, size=(300, 1))
+        weights[::7, :5] = 0.0
+        weights[::11] *= 1e-12
+        weights[4] = 0.0
+        got = hmm._floor_rows(weights, hmm.EMISSION_FLOOR)
+        pins = []
+        for row, out in zip(weights, got):
+            want = oracles.floor_row(row, hmm.EMISSION_FLOOR)
+            np.testing.assert_array_equal(out, want)
+            pins.append(int((want == hmm.EMISSION_FLOOR).sum()))
+        # rows that do not pin, and rows that pin over one and several rounds
+        assert min(pins) == 0 and max(pins) >= 10 and len(set(pins)) > 5
+
+    def test_stacked_m_step_equals_one_model_at_a_time(self):
+        rng = np.random.default_rng(8)
+        n, m = 4, 6
+        models = [random_model(n, m, seed=s) for s in range(3)]
+        # state 3 of model 1 never starts, moves or emits: its rows stay
+        models[1].pi[3] = 0.0
+        models[1].pi /= models[1].pi.sum()
+        models[1].A[:, 3] = 0.0
+        models[1].A /= models[1].A.sum(axis=1, keepdims=True)
+        stats = []
+        for model in models:
+            seqs = [rng.integers(0, m, size=7) for _ in range(5)]
+            stats.append(hmm._e_step(model, hmm._em_blocks(seqs))[0])
+        A, B, pi = hmm._m_step(
+            np.stack([model.A for model in models]),
+            np.stack([model.B for model in models]),
+            {name: np.stack([s[name] for s in stats]) for name in stats[0]},
+        )
+        assert stats[1]["b_den"][3] == 0.0
+        for g, (model, s) in enumerate(zip(models, stats)):
+            want = hmm._m_step(model.A, model.B, s)
+            for got_arr, want_arr in zip((A[g], B[g], pi[g]), want):
+                np.testing.assert_array_equal(got_arr, want_arr)
+            for j in range(n):
+                if s["b_den"][j] > 0.0:
+                    want_row = oracles.floor_row(
+                        s["b_num"][j], hmm.EMISSION_FLOOR
+                    )
+                    np.testing.assert_array_equal(B[g, j], want_row)
+                else:
+                    np.testing.assert_array_equal(B[g, j], model.B[j])
+
+
+class TestFitGroups:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(1, 20)),
+            min_size=1, max_size=5,
+        ),
+        n_hidden=st.integers(1, 4),
+        max_iters=st.integers(1, 15),
+        tol=st.sampled_from([1e-1, 1e-2, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_group_equals_its_own_fit(
+        self, shapes, n_hidden, max_iters, tol, seed
+    ):
+        rng = np.random.default_rng(seed)
+        m = 4
+        groups = [
+            [StateSequence(rng.integers(0, m, size=n)) for _ in range(size)]
+            for n, size in shapes
+        ]
+        seeds = rng.integers(0, 2**31, size=len(groups)).tolist()
+        fits = hmm.fit_groups(groups, seeds, n_hidden, m, tol, max_iters)
+        for group, group_seed, (model, trace) in zip(groups, seeds, fits):
+            want, want_trace = baum_welch_fit(
+                group, n_hidden, m, group_seed, tol, max_iters
+            )
+            assert trace == want_trace
+            np.testing.assert_array_equal(model.A, want.A)
+            np.testing.assert_array_equal(model.B, want.B)
+            np.testing.assert_array_equal(model.pi, want.pi)
+            assert model.seed == want.seed
+
+    def test_groups_leave_at_different_iterations(self):
+        rng = np.random.default_rng(5)
+        shapes = [(30, 3), (2, 20), (12, 6), (5, 1), (12, 9)]
+        groups = [
+            [StateSequence(rng.integers(0, 4, size=n)) for _ in range(size)]
+            for n, size in shapes
+        ]
+        seeds = [11, 12, 13, 14, 15]
+        fits = hmm.fit_groups(groups, seeds, 3, 4, tol=1e-2, max_iters=40)
+        # three groups converge, at iterations 10, 30 and 35; two are capped
+        assert [len(trace) for _, trace in fits] == [30, 35, 40, 10, 40]
+        for group, seed, (model, trace) in zip(groups, seeds, fits):
+            want, want_trace = baum_welch_fit(group, 3, 4, seed, 1e-2, 40)
+            assert trace == want_trace
+            np.testing.assert_array_equal(model.B, want.B)
+
+    def test_rejects_mixed_lengths_and_missing_seeds(self):
+        group = [make_seq([0, 1]), make_seq([1, 0, 1])]
+        with pytest.raises(DomainError):
+            hmm.fit_groups([group], [0], 2, 2)
+        with pytest.raises(DomainError):
+            hmm.fit_groups([group[:1]], [], 2, 2)
+
+
 class TestPredictNext:
     def test_forced_by_deterministic_transitions(self, alternating_model):
         symbol, scores = predict_next(alternating_model, make_seq([0, 1, 0]))
