@@ -122,8 +122,38 @@ def _stage2_meta(sessions, stride, max_len):
     return offsets, counts, targets
 
 
+def _check_stage2(sessions, stride):
+    if stride < 1:
+        raise DomainError("stride must be at least 1")
+    if any(len(s) < 2 for s in sessions):
+        raise DomainError("stage-2 sessions need length of at least 2")
+
+
+def _packed(sessions):
+    """The sessions' symbols as one array and each session's end in it: a
+    payload that pickles as two arrays, not one object per session."""
+    return (
+        np.concatenate([s.symbols for s in sessions]),
+        np.cumsum([len(s) for s in sessions]),
+    )
+
+
+def _unpacked(packed) -> list[np.ndarray]:
+    symbols, ends = packed
+    return np.split(symbols, ends[:-1])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(workers: int) -> int:
-    return workers if workers > 0 else (os.cpu_count() or 1)
+    """Worker processes for `workers` (0 = all usable CPUs): never more than
+    the usable CPUs, since more processes would only time-share them."""
+    cpus = _usable_cpus()
+    return min(workers, cpus) if workers > 0 else cpus
 
 
 def _run_tasks(fn, payloads, parallel: bool, workers: int):
@@ -131,38 +161,49 @@ def _run_tasks(fn, payloads, parallel: bool, workers: int):
     payload carries all its task needs, so any start method works."""
     if not parallel or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=_pool_size(workers)) as pool:
+    size = min(_pool_size(workers), len(payloads))
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, payloads))
 
 
 def _fit_task(payload):
-    groups, seeds, config = payload
-    return fit_groups(
+    """Fit one share of the groups in one stacked pass; given packed
+    sequences, also predict with the fitted models at their points."""
+    groups, seeds, config, packed = payload
+    fits = fit_groups(
         groups, seeds, n_hidden=config.n_hidden, n_obs=config.n_obs,
         tol=config.tol, max_iters=config.max_iters,
     )
+    if packed is None:
+        return fits, None
+    models = [model for model, _ in fits]
+    return fits, predict_points(models, _unpacked(packed), config.stride)
 
 
 def _deal(costs: list[int], n_shares: int) -> list[list[int]]:
-    """Indices of `costs` dealt into at most `n_shares` shares of about equal
-    total: largest first, each to the lightest share so far."""
-    loads = [0] * min(n_shares, len(costs))
-    shares: list[list[int]] = [[] for _ in loads]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        lightest = loads.index(min(loads))
-        shares[lightest].append(i)
-        loads[lightest] += costs[i]
-    return shares
+    """Indices of `costs` dealt round-robin, largest first, into at most
+    `n_shares` shares: the shares hold equal numbers of items, within one,
+    and the costliest items go to different shares."""
+    order = sorted(range(len(costs)), key=lambda i: -costs[i])
+    return [order[i::n_shares] for i in range(min(n_shares, len(costs)))]
 
 
-def _fit_selected(sessions, lengths: list[int], config: RunConfig):
+def _fit_selected(sessions, lengths: list[int], config: RunConfig,
+                  stage2_sessions=None):
     """One HMM per selected length, fitted from the sessions of that length:
-    (length, model, converged, iterations) in selection order.
+    (length, model, converged, iterations) in selection order; and, given
+    `stage2_sessions`, every model's predictions at their canonical
+    points, as `stage2_arrays` returns them (else None).
 
-    One stacked EM pass fits them all; in parallel, the groups are dealt to
-    the workers by cost (length x sessions) and each worker runs the pass
-    over its share.  A group's arithmetic does not depend on the others in
-    its pass, so the deal changes no result.
+    One stacked EM pass fits them all.  In parallel, the groups are dealt
+    to the workers, and each worker runs the pass over its share and then
+    predicts with the models it fitted, so that no worker waits for another
+    worker's fits.  A fit's iteration count is not known before it runs,
+    but each model's predictions cost about the same, so the deal gives the
+    workers equal numbers of models and spreads the costliest fits
+    (length x sessions) over different workers.  A group's arithmetic does
+    not depend on the other groups in its pass, nor a model's predictions
+    on the other models in its stack, so the deal changes no result.
     """
     by_length: dict[int, list] = {length: [] for length in lengths}
     for s in sessions:
@@ -177,25 +218,35 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig):
         )
     else:
         shares = [list(range(len(lengths)))]
+    packed = None if stage2_sessions is None else _packed(stage2_sessions)
     parts = _run_tasks(
         _fit_task,
-        [([groups[i] for i in share], [seeds[i] for i in share], config)
-         for share in shares],
+        [([groups[i] for i in share], [seeds[i] for i in share], config,
+          packed) for share in shares],
         config.parallel, config.workers,
     )
     fits: list = [None] * len(lengths)
-    for share, part in zip(shares, parts):
-        for i, fit in zip(share, part):
+    preds = None
+    if stage2_sessions is not None:
+        offsets = point_offsets(
+            [len(s) for s in stage2_sessions], config.stride
+        )
+        preds = np.empty((offsets[-1], len(lengths)), dtype=np.int64)
+    for share, (share_fits, share_preds) in zip(shares, parts):
+        for i, fit in zip(share, share_fits):
             fits[i] = fit
-    return [
+        if preds is not None:
+            preds[:, share] = share_preds
+    results = [
         (length, model, fit_converged(trace, config.tol), len(trace))
         for length, (model, trace) in zip(lengths, fits)
     ]
+    return results, preds
 
 
 def _points_task(payload):
-    models, seqs, stride = payload
-    return predict_points(models, seqs, stride)
+    models, packed, stride = payload
+    return predict_points(models, _unpacked(packed), stride)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +261,8 @@ def train_ensemble(
     Parallel and sequential modes produce bit-identical models: each HMM's
     seed is base_seed XOR its length key, so results do not depend on
     scheduling.  HMMs that stop at the iteration cap are recorded as warnings
-    on the model, not failures.
+    on the model, not failures.  In parallel, the workers that fit the HMMs
+    also run stage 2 with them, so `timings["hmm_training"]` covers both.
     """
     if not sessions:
         raise DomainError("need at least one training session")
@@ -223,7 +275,11 @@ def train_ensemble(
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    results = _fit_selected(sessions, plan.selected_lengths, config)
+    _check_stage2(sessions, config.stride)
+    results, preds = _fit_selected(
+        sessions, plan.selected_lengths, config,
+        stage2_sessions=sessions if config.parallel else None,
+    )
     models = {length: model for length, model, _, _ in results}
     warnings_list = [
         f"hmm_{length} stopped at the iteration cap ({iters} iterations)"
@@ -234,11 +290,12 @@ def train_ensemble(
 
     t0 = time.perf_counter()
     max_len = max(len(s) for s in sessions)
-    model_list = [models[length] for length in plan.selected_lengths]
-    preds, counts, targets = stage2_arrays(
-        model_list, sessions, config.stride, max_len,
-        parallel=config.parallel, workers=config.workers,
-    )
+    _, counts, targets = _stage2_meta(sessions, config.stride, max_len)
+    if preds is None:
+        preds = predict_points(
+            [models[length] for length in plan.selected_lengths],
+            [s.symbols for s in sessions], config.stride,
+        )
     timings["stage2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -287,10 +344,7 @@ def stage2_arrays(
     chunk per worker; each chunk runs the stacked kernel and its rows are
     scattered back into the canonical order.
     """
-    if stride < 1:
-        raise DomainError("stride must be at least 1")
-    if any(len(s) < 2 for s in sessions):
-        raise DomainError("stage-2 sessions need length of at least 2")
+    _check_stage2(sessions, stride)
     offsets, counts, targets = _stage2_meta(sessions, stride, max_len)
     seqs = [s.symbols for s in sessions]
     if not parallel:
@@ -300,7 +354,8 @@ def stage2_arrays(
     chunks = [by_length[c::n_chunks] for c in range(n_chunks)]
     parts = _run_tasks(
         _points_task,
-        [(models, [seqs[i] for i in idx], stride) for idx in chunks],
+        [(models, _packed([sessions[i] for i in idx]), stride)
+         for idx in chunks],
         parallel, workers,
     )
     preds = np.empty((targets.size, len(models)), dtype=np.int64)
@@ -502,7 +557,7 @@ def sweep_k(
     k_max = ks[-1]
 
     plan = build_plan(train, config.n_obs, k_max, config.min_support)
-    results = _fit_selected(train, plan.selected_lengths, config)
+    results, _ = _fit_selected(train, plan.selected_lengths, config)
     models = {length: model for length, model, _, _ in results}
     model_list = [models[length] for length in plan.selected_lengths]
 

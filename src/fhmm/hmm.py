@@ -531,8 +531,8 @@ def _rescale(a: np.ndarray, scale: np.ndarray, t: int) -> None:
 def fit_groups(
     groups: list[list[StateSequence]],
     seeds: list[int],
-    n_hidden: int = DEFAULT_N_HIDDEN,
-    n_obs: int | None = None,
+    n_hidden: int,
+    n_obs: int,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> list[tuple[HmmModel, list[float]]]:
@@ -546,7 +546,7 @@ def fit_groups(
     """
     if len(seeds) != len(groups):
         raise DomainError("need one seed per group")
-    n_obs = _check_fit_args([s for g in groups for s in g], n_hidden, n_obs)
+    _check_fit_args([s for g in groups for s in g], n_hidden, n_obs)
     for group in groups:
         if not group or len({len(s) for s in group}) != 1:
             raise DomainError("each group needs sequences, all of one length")

@@ -203,24 +203,33 @@ class TestTrainEnsemble:
 
 
 class TestFitSelected:
-    def test_deal_balances_cost(self):
+    def test_deal_spreads_costliest_over_equal_shares(self):
         shares = ensemble._deal([5, 40, 7, 30, 12, 9], 3)
-        assert sorted(i for share in shares for i in share) == list(range(6))
-        assert shares == [[1], [3], [4, 5, 2, 0]]          # loads 40, 30, 33
+        assert shares == [[1, 5], [3, 2], [4, 0]]
         assert ensemble._deal([3, 1], 4) == [[0], [1]]
 
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        assert ensemble._pool_size(4) == 2
+        assert ensemble._pool_size(1) == 1
+        assert ensemble._pool_size(0) == 2
+
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_deal_matches_one_pass(self, workers):
+    def test_parallel_deal_matches_one_pass(self, workers, monkeypatch):
+        # enough CPUs that the groups are dealt into `workers` shares
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
         sessions = _small_corpus(seed=4, n=300).sessions
         counts: dict[int, int] = {}
         for s in sessions:
             counts[len(s)] = counts.get(len(s), 0) + 1
         lengths = sorted(counts, key=lambda length: -counts[length])[:5]
         config = _small_config(max_iters=30)
-        want = ensemble._fit_selected(sessions, lengths, config)
-        got = ensemble._fit_selected(
+        want, no_preds = ensemble._fit_selected(sessions, lengths, config)
+        assert no_preds is None
+        got, preds = ensemble._fit_selected(
             sessions, lengths,
             dataclasses.replace(config, parallel=True, workers=workers),
+            stage2_sessions=sessions,
         )
         assert [row[0] for row in got] == lengths
         for (_, model, converged, iters), (_, ref, ref_conv, ref_iters) in zip(
@@ -231,6 +240,11 @@ class TestFitSelected:
                 np.testing.assert_array_equal(
                     getattr(model, name), getattr(ref, name)
                 )
+        want_preds, _, _ = stage2_arrays(
+            [ref for _, ref, _, _ in want], sessions, config.stride,
+            max(len(s) for s in sessions),
+        )
+        np.testing.assert_array_equal(preds, want_preds)
 
 
 class TestCollectStage2:
