@@ -30,7 +30,6 @@ from .hmm import (
     baum_welch_fit,
     forward_backward,
     predict_next,
-    sample,
 )
 from .ingest import (
     EventMapping,

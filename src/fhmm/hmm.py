@@ -255,79 +255,22 @@ def _em_blocks(seqs: list[np.ndarray]) -> list[_Ragged]:
 
 
 def _e_step(model: HmmModel, blocks: list[_Ragged]):
-    """EM sufficient statistics and the total log-likelihood of the blocks."""
-    N, M = model.n_hidden, model.n_obs
-    BT = np.ascontiguousarray(model.B.T)
-    stats = {
-        "pi": np.zeros(N),
-        "a_num": np.zeros((N, N)),
-        "b_num": np.zeros((N, M)),
-        "b_den": np.zeros(N),
-    }
-    ll = 0.0
-    for block in blocks:
-        ll += _block_stats(model, BT, block, stats)
-    return stats, ll
+    """EM sufficient statistics and the total log-likelihood of the blocks,
+    each run as a one-group pass and added in block order.
 
-
-def _block_stats(
-    model: HmmModel, BT: np.ndarray, block: _Ragged, stats
-) -> float:
-    """Add one block's EM statistics to `stats`; return its log-likelihood.
-
-    The forward pass stores alpha time-major for the rows still running (no
-    padding).  The backward pass walks t downward, starts beta at scale[t]
-    for the rows that end at step t, overwrites alpha with gamma and
-    accumulates the expected transitions.
+    Only one block's pass exists at a time: each is built, run and freed
+    before the next, so the buffers never hold more than one block.
     """
-    N, M = model.n_hidden, model.n_obs
-    A, pi = model.A, model.pi
-    counts, starts, obs = block.running.tolist(), block.starts.tolist(), block.obs
-    T = len(counts)
-    alpha = np.empty((obs.size, N))
-    scale = np.empty(obs.size)
-    n = counts[0]
-    a = pi[None, :] * BT[obs[:n]]
-    s = a.sum(axis=1)
-    if s.min() <= 0.0:
-        raise DegenerateSequenceError(0)
-    scale[:n] = 1.0 / s
-    np.multiply(a, scale[:n, None], out=alpha[:n])
-    for t in range(1, T):
-        p, q, n = starts[t - 1], starts[t], counts[t]
-        a = (alpha[p: p + n] @ A) * BT[obs[q: q + n]]
-        s = a.sum(axis=1)
-        if s.min() <= 0.0:
-            raise DegenerateSequenceError(t)
-        scale[q: q + n] = 1.0 / s
-        np.multiply(a, scale[q: q + n, None], out=alpha[q: q + n])
-    ll = -float(np.log(scale).sum())
-
-    # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
-    q, n = starts[T - 1], counts[T - 1]
-    beta = scale[q: q + n, None].repeat(N, axis=1)
-    a_outer = np.zeros((N, N))
-    for t in range(T - 1, -1, -1):
-        q, n = starts[t], counts[t]
-        gamma = alpha[q: q + n]
-        gamma *= beta
-        gamma /= scale[q: q + n, None]
-        if t == 0:
-            break
-        emitted = BT[obs[q: q + n]] * beta       # b_j(o_t) * beta_t(j)
-        p, m = starts[t - 1], counts[t - 1]
-        a_outer += alpha[p: p + n].T @ emitted
-        beta = np.empty((m, N))
-        np.multiply(scale[p: p + n, None], emitted @ A.T, out=beta[:n])
-        beta[n:] = scale[p + n: p + m, None]        # rows that end at t-1
-
-    stats["pi"] += alpha[: counts[0]].sum(axis=0)
-    stats["a_num"] += A * a_outer
-    stats["b_den"] += alpha.sum(axis=0)
-    # emission counts: one weighted bincount per hidden state beats add.at
-    for j in range(N):
-        stats["b_num"][j] += np.bincount(obs, weights=alpha[:, j], minlength=M)
-    return ll
+    A, B, pi = model.A[None], model.B[None], model.pi[None]
+    stats, ll = {}, 0.0
+    for block in blocks:
+        block_stats, block_ll = _GroupPass(
+            block, [block.order.size], A, model.n_obs
+        ).e_step(B, pi)
+        for name, value in block_stats.items():
+            stats[name] = stats.get(name, 0.0) + value[0]
+        ll += block_ll[0]
+    return stats, ll
 
 
 def _m_step(A: np.ndarray, B: np.ndarray, stats):
@@ -397,84 +340,99 @@ def baum_welch_fit(
 
 
 class _GroupPass:
-    """E-steps of single-length groups, run together in one ragged layout.
+    """E-steps of groups of sequences, run together in one ragged layout.
 
-    The groups enter longest first, so at each step t < lengths[g] group g
-    holds rows offsets[g] to offsets[g+1] of the rows still running, and
-    those rows are all rows of the groups longer than t.  Elementwise work
-    runs once per step over all those rows.  The products with A run per
-    group on the group's own rows, which `_block_stats` of that group alone
-    multiplies at the same shapes, so each group's statistics equal those of
-    its own fit bit for bit.  The buffers, and the views of them each
-    product reads and writes, are built once and serve every E-step; `A` is
-    updated in place between E-steps.
+    Each group's rows are contiguous in the layout, and at step t group g
+    holds rows offsets[g] to offsets[g] + running_g[t] of the rows still
+    running: its running rows are a prefix of its rows.  Single-length
+    groups entered longest first keep this, and so does one group of mixed
+    lengths.  Elementwise work runs once per step over all running rows.
+    The products with A run per group on the group's own running rows, at
+    the shapes of a pass over that group alone, so each group's statistics
+    equal those of its own pass bit for bit.  The buffers, and the views of
+    them each product reads and writes, are built once and serve every
+    E-step; `A` (one matrix per group) is updated in place between E-steps.
     """
 
     def __init__(
-        self, groups: list[list[np.ndarray]], A: np.ndarray, n_obs: int
+        self, layout: _Ragged, sizes: list[int], A: np.ndarray, n_obs: int
     ):
         G, N = A.shape[0], A.shape[2]
         self.A = A
-        self.sizes = [len(g) for g in groups]
-        self.lengths = [g[0].size for g in groups]
-        layout = _ragged([s for g in groups for s in g])
-        self.counts = layout.running.tolist()
-        self.starts = layout.starts.tolist()
-        self.offsets = offsets = np.cumsum([0] + self.sizes).tolist()
+        self.sizes = sizes
+        self.counts = counts = layout.running.tolist()
+        self.starts = starts = layout.starts.tolist()
+        self.offsets = offsets = np.cumsum([0] + sizes).tolist()
         row = np.arange(layout.obs.size) - np.repeat(
             layout.starts[:-1], layout.running
         )
-        group = np.repeat(np.arange(G), self.sizes)[row]
+        group = np.repeat(np.arange(G), sizes)[row]
         # each stored symbol's row of the stacked B.T, and its b_num bin
         self.emission_rows = group * n_obs + layout.obs
-        # where each group's symbols are stored, in its own layout's order
-        self.own = np.concatenate([
-            (layout.starts[:length, None] + lo + np.arange(size)).ravel()
-            for lo, size, length in zip(offsets, self.sizes, self.lengths)
-        ])
+        # each group's symbols in its own layout's order, group after group
+        self.own = np.argsort(group, kind="stable")
+        ends = np.concatenate([[0], np.cumsum(layout.lengths)])
+        self.own_offsets = ends[offsets].tolist()
         self.alpha = np.empty((layout.obs.size, N))
         self.scale = np.empty(layout.obs.size)
-        self.beta, self.emitted, self.back = np.empty((3, self.counts[0], N))
+        self.beta, self.emitted, self.back = np.empty((3, counts[0], N))
         self.outer = np.empty((G, N, N))
-        active = np.searchsorted(
-            -np.array(self.lengths), -np.arange(len(self.counts))
-        )
         alpha, self.forward, self.backward = self.alpha, [], []
-        for t in range(1, len(self.counts)):
-            p, q, k = self.starts[t - 1], self.starts[t], int(active[t])
-            spans = [(g, offsets[g], offsets[g + 1]) for g in range(k)]
+        for t in range(1, len(counts)):
+            p, q, n = starts[t - 1], starts[t], counts[t]
+            # the groups with running rows lead; each holds its rows below n
+            spans = [
+                (g, lo, min(hi, n))
+                for g, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+                if lo < n
+            ]
             self.forward.append([
                 (alpha[p + lo: p + hi], A[g], alpha[q + lo: q + hi])
                 for g, lo, hi in spans
             ])
-            self.backward.append((k, [
+            self.backward.append((len(spans), [
                 (alpha[p + lo: p + hi].T, self.emitted[lo:hi], self.outer[g],
                  A[g].T, self.back[lo:hi])
                 for g, lo, hi in spans
             ]))
 
+    def _emissions(self, BT: np.ndarray, t: int, out: np.ndarray):
+        """The emissions of the rows running at step t, gathered into the
+        leading rows of `out`: one step at a time, so no gather of the whole
+        layout exists."""
+        q, n = self.starts[t], self.counts[t]
+        # "clip" writes straight into `out`; "raise" would buffer the copy
+        return np.take(
+            BT, self.emission_rows[q: q + n], axis=0, out=out[:n], mode="clip"
+        )
+
     def e_step(self, B: np.ndarray, pi: np.ndarray):
         """Every group's EM statistics, with a leading group axis, and
-        log-likelihood; the arithmetic of `_block_stats`."""
+        log-likelihood.
+
+        The forward pass stores alpha time-major for the rows still running
+        (no padding).  The backward pass walks t downward, starts beta at
+        scale[t] for the rows that end at step t, overwrites alpha with
+        gamma and accumulates the expected transitions.
+        """
         G, N, M = B.shape
         A, alpha, scale = self.A, self.alpha, self.scale
         counts, starts = self.counts, self.starts
+        beta, emitted, back = self.beta, self.emitted, self.back
         BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
-        emissions = np.take(BT, self.emission_rows, axis=0)
         n = counts[0]
-        pi_rows = np.repeat(pi, self.sizes, axis=0)
-        np.multiply(pi_rows, emissions[:n], out=alpha[:n])
+        self._emissions(BT, 0, alpha)
+        alpha[:n] *= np.repeat(pi, self.sizes, axis=0)
         _rescale(alpha[:n], scale[:n], 0)
         for t, products in enumerate(self.forward, start=1):
             for prev, A_g, out in products:
                 np.matmul(prev, A_g, out=out)
             q, n = starts[t], counts[t]
-            alpha[q: q + n] *= emissions[q: q + n]
+            alpha[q: q + n] *= self._emissions(BT, t, emitted)
             _rescale(alpha[q: q + n], scale[q: q + n], t)
 
-        # alpha becomes gamma in place, as in _block_stats
+        # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
         T = len(counts)
-        beta, emitted, back = self.beta, self.emitted, self.back
         beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
         a_outer = np.zeros((G, N, N))
         for t in range(T - 1, -1, -1):
@@ -484,7 +442,8 @@ class _GroupPass:
             gamma /= scale[q: q + n, None]
             if t == 0:
                 break
-            np.multiply(emissions[q: q + n], beta[:n], out=emitted[:n])
+            emitted_t = self._emissions(BT, t, emitted)
+            emitted_t *= beta[:n]                    # b_j(o_t) * beta_t(j)
             k, products = self.backward[t - 1]
             for prev, emitted_g, outer_g, AT_g, back_g in products:
                 np.matmul(prev, emitted_g, out=outer_g)
@@ -495,19 +454,18 @@ class _GroupPass:
             beta[n:m] = scale[p + n: p + m, None]    # rows that end at t-1
 
         # per-group sums at the group's own shapes: pi over its rows at t=0,
-        # which lead the layout, and log-likelihood over its scale factors,
-        # gathered into its own layout's order
-        logs = np.log(np.take(scale, self.own))
+        # and log-likelihood over its scale factors in its own layout's order
+        logs = np.take(scale, self.own)
+        np.log(logs, out=logs)
         stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
-        ll, lo = [], 0
-        for g, (size, length) in enumerate(zip(self.sizes, self.lengths)):
-            hi = lo + size * length
-            first = alpha[self.offsets[g]: self.offsets[g + 1]]
-            stats["pi"][g] = first.sum(axis=0)
-            ll.append(-float(logs[lo:hi].sum()))
-            lo = hi
-        # one bincount per state over all groups; each bin adds in its group's
-        # row order, as the group's own per-state bincount does
+        for g, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:])):
+            stats["pi"][g] = alpha[lo:hi].sum(axis=0)
+        ll = [
+            -float(logs[lo:hi].sum())
+            for lo, hi in zip(self.own_offsets, self.own_offsets[1:])
+        ]
+        # emission counts: one weighted bincount per state over all groups
+        # beats add.at; each bin adds in its group's row order
         stats["b_num"] = np.empty((G, N, M))
         for j in range(N):
             stats["b_num"][:, j] = np.bincount(
@@ -564,7 +522,8 @@ def fit_groups(
     while live:
         if gp is None:
             gp = _GroupPass(
-                [[s.symbols for s in groups[g]] for g in live], A, n_obs
+                _ragged([s.symbols for g in live for s in groups[g]]),
+                [len(groups[g]) for g in live], A, n_obs,
             )
         stats, lls = gp.e_step(B, pi)
         stay = []
@@ -738,15 +697,6 @@ def predict_next_all(
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample(model: HmmModel, length: int, seed: int) -> StateSequence:
-    """Draw one sequence from the model's generative process."""
-    if length < 1:
-        raise DomainError("length must be at least 1")
-    rng = np.random.default_rng(seed)
-    obs = sample_batch(model, np.full(1, length, dtype=np.int64), rng)[0]
-    return StateSequence(obs, session_id=f"sample-{seed}")
-
-
 def sample_batch(
     model: HmmModel, lengths: np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -755,6 +705,8 @@ def sample_batch(
     Deterministic given the generator state; one uniform draw per active
     sequence per step for the state and one for the emission.
     """
+    if lengths.size == 0 or lengths.min() < 1:
+        raise DomainError("every length must be at least 1")
     n = lengths.size
     max_T = int(lengths.max())
     cum_A = np.cumsum(model.A, axis=1)

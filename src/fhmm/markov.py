@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .sequences import StateSequence, check_symbols
-from . import serialize
 
 DEFAULT_SMOOTHING = 1.0
 
@@ -85,49 +84,3 @@ def predict_next_markov(model: MarkovChainModel, prefix: StateSequence) -> int:
     """argmax over the last symbol's transition row, lowest index on ties."""
     check_symbols(prefix, model.n_obs)
     return int(np.argmax(model.T1[prefix.symbols[-1]]))
-
-
-def sample_markov(
-    model: MarkovChainModel, length: int, rng: np.random.Generator
-) -> np.ndarray:
-    if length < 1:
-        raise DomainError("length must be at least 1")
-    out = np.empty(length, dtype=np.int64)
-    out[0] = rng.choice(model.n_obs, p=model.init)
-    for t in range(1, length):
-        out[t] = rng.choice(model.n_obs, p=model.T1[out[t - 1]])
-    return out
-
-
-MARKOV_SCHEMA = "fhmm-markov/1"
-
-
-def markov_to_doc(model: MarkovChainModel) -> dict:
-    return {
-        "schema": MARKOV_SCHEMA,
-        "n_obs": model.n_obs,
-        "smoothing": serialize.fmt_float(model.smoothing),
-        "t1": serialize.array_to_doc(model.T1),
-        "init": serialize.array_to_doc(model.init),
-    }
-
-
-def markov_from_doc(doc: dict) -> MarkovChainModel:
-    if doc.get("schema") != MARKOV_SCHEMA:
-        raise DomainError(f"unexpected model schema {doc.get('schema')!r}")
-    model = MarkovChainModel(
-        n_obs=int(doc["n_obs"]),
-        T1=serialize.array_from_doc(doc["t1"]),
-        init=serialize.array_from_doc(doc["init"]),
-        smoothing=float(doc["smoothing"]),
-    )
-    model.validate()
-    return model
-
-
-def save_markov(model: MarkovChainModel, path) -> None:
-    serialize.write_doc(path, markov_to_doc(model))
-
-
-def load_markov(path) -> MarkovChainModel:
-    return markov_from_doc(serialize.read_doc(path))

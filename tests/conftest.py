@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fhmm.hmm import HmmModel
+from fhmm.hmm import HmmModel, sample_batch
 from fhmm.sequences import StateSequence
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
@@ -43,3 +43,9 @@ def uniform_model():
 
 def make_seq(symbols, session_id="t"):
     return StateSequence(np.asarray(symbols), session_id=session_id)
+
+
+def draw(model, length, seed):
+    """One seeded sequence of `length` symbols from the model."""
+    lengths = np.full(1, length, dtype=np.int64)
+    return make_seq(sample_batch(model, lengths, np.random.default_rng(seed))[0])

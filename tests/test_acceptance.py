@@ -26,7 +26,6 @@ from fhmm.hmm import (
     forward_backward,
     predict_next,
     random_model,
-    sample,
     sample_batch,
     score,
 )
@@ -35,6 +34,7 @@ from fhmm.markov import fit_markov
 from fhmm.partition import frequency_array
 from fhmm.sequences import StateSequence
 
+from conftest import draw
 import oracles
 
 
@@ -115,7 +115,7 @@ class TestCriterion2InferenceOracle:
             n_obs = 2 + case % 3
             T = 1 + case % 8
             model = random_model(n_hidden, n_obs, seed=5000 + case)
-            seq = sample(model, T, seed=6000 + case)
+            seq = draw(model, T, seed=6000 + case)
             ws = forward_backward(model, seq)
             expected = oracles.enumerate_log_likelihood(
                 model.A, model.B, model.pi, seq.symbols
@@ -123,7 +123,7 @@ class TestCriterion2InferenceOracle:
             worst_ll = max(worst_ll, abs(ws.log_likelihood - expected))
             assert abs(ws.log_likelihood - expected) < 1e-9
 
-            prefix = sample(model, max(T, 2), seed=7000 + case)
+            prefix = draw(model, max(T, 2), seed=7000 + case)
             got, _ = predict_next(model, prefix)
             brute = oracles.brute_force_predict(
                 lambda ext: score(model, StateSequence(ext)),
@@ -145,7 +145,7 @@ class TestCriterion3NormalizationSuite:
             n_hidden = 2 + case % 3
             n_obs = 3 + case % 4
             model = random_model(n_hidden, n_obs, seed=100 + case)
-            seq = sample(model, 3 + case % 10, seed=200 + case)
+            seq = draw(model, 3 + case % 10, seed=200 + case)
             ws = forward_backward(model, seq)
             worst = max(worst, float(np.abs(ws.gamma.sum(axis=1) - 1).max()))
             if len(seq) > 1:

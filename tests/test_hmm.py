@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,6 @@ from fhmm.hmm import (
     predict_next_all,
     predict_points,
     random_model,
-    sample,
     sample_batch,
     save_model,
     score,
@@ -28,7 +28,7 @@ from fhmm.hmm import (
 )
 from fhmm.sequences import StateSequence
 
-from conftest import make_seq
+from conftest import draw, make_seq
 import oracles
 
 
@@ -49,7 +49,7 @@ class TestForwardBackward:
 
     def test_matches_path_enumeration(self):
         model = random_model(3, 4, seed=7)
-        seq = sample(model, 6, seed=11)
+        seq = draw(model, 6, seed=11)
         ws = forward_backward(model, seq)
         expected = oracles.enumerate_log_likelihood(
             model.A, model.B, model.pi, seq.symbols
@@ -85,7 +85,7 @@ class TestForwardBackward:
     @settings(max_examples=40, deadline=None)
     def test_enumeration_equivalence_property(self, seed, n, m, t):
         model = random_model(n, m, seed=seed)
-        seq = sample(model, t, seed=seed + 1)
+        seq = draw(model, t, seed=seed + 1)
         ws = forward_backward(model, seq)
         expected = oracles.enumerate_log_likelihood(
             model.A, model.B, model.pi, seq.symbols
@@ -97,7 +97,7 @@ class TestForwardBackward:
     @settings(max_examples=60, deadline=None)
     def test_posterior_normalization(self, seed, n, m, t):
         model = random_model(n, m, seed=seed)
-        seq = sample(model, t, seed=seed + 1)
+        seq = draw(model, t, seed=seed + 1)
         ws = forward_backward(model, seq)
         np.testing.assert_allclose(ws.gamma.sum(axis=1), 1.0, atol=1e-9)
         if t > 1:
@@ -196,6 +196,29 @@ class TestBaumWelch:
         load_model(tmp_path / "m.json").validate()
 
 
+def assert_matches_forward_backward(model, seqs, stats, ll):
+    """EM statistics and log-likelihood against sums of per-sequence
+    forward_backward, within 1e-12 normwise relative."""
+    n, m = model.n_hidden, model.n_obs
+    expected = {
+        "pi": np.zeros(n), "a_num": np.zeros((n, n)),
+        "b_num": np.zeros((n, m)), "b_den": np.zeros(n),
+    }
+    expected_ll = 0.0
+    for s in seqs:
+        ws = forward_backward(model, StateSequence(s))
+        expected["pi"] += ws.gamma[0]
+        expected["a_num"] += ws.digamma.sum(axis=0)
+        expected["b_den"] += ws.gamma.sum(axis=0)
+        for t, symbol in enumerate(s):
+            expected["b_num"][:, symbol] += ws.gamma[t]
+        expected_ll += ws.log_likelihood
+    for name, want in expected.items():
+        gap = np.abs(stats[name] - want).max()
+        assert gap <= 1e-12 * np.abs(want).max(), name
+    assert abs(ll - expected_ll) <= 1e-12 * abs(expected_ll)
+
+
 class TestEStep:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -215,24 +238,84 @@ class TestEStep:
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", budget):
             blocks = hmm._em_blocks(seqs)
         stats, ll = hmm._e_step(model, blocks)
+        assert_matches_forward_backward(model, seqs, stats, ll)
 
-        expected = {
-            "pi": np.zeros(n), "a_num": np.zeros((n, n)),
-            "b_num": np.zeros((n, m)), "b_den": np.zeros(n),
-        }
-        expected_ll = 0.0
-        for s in seqs:
-            ws = forward_backward(model, StateSequence(s))
-            expected["pi"] += ws.gamma[0]
-            expected["a_num"] += ws.digamma.sum(axis=0)
-            expected["b_den"] += ws.gamma.sum(axis=0)
-            for t, symbol in enumerate(s):
-                expected["b_num"][:, symbol] += ws.gamma[t]
-            expected_ll += ws.log_likelihood
-        for name, want in expected.items():
-            gap = np.abs(stats[name] - want).max()
-            assert gap <= 1e-12 * np.abs(want).max(), name
-        assert abs(ll - expected_ll) <= 1e-12 * abs(expected_ll)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 5)),
+            min_size=1, max_size=5,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pass_over_single_length_groups(self, shapes, seed):
+        # a length drawn twice makes two groups of equal length
+        rng = np.random.default_rng(seed)
+        n, m = 3, 4
+        shapes = sorted(shapes + shapes[:1], key=lambda shape: -shape[0])
+        groups = [
+            [rng.integers(0, m, size=t) for _ in range(size)]
+            for t, size in shapes
+        ]
+        models = [random_model(n, m, seed=seed + g) for g in range(len(groups))]
+        stack = stack_models(models)[0]
+        gp = hmm._GroupPass(
+            hmm._ragged([s for g in groups for s in g]),
+            [len(g) for g in groups], stack.A, m,
+        )
+        stats, lls = gp.e_step(stack.B, stack.pi)
+        for g, (model, seqs) in enumerate(zip(models, groups)):
+            assert_matches_forward_backward(
+                model, seqs, {name: v[g] for name, v in stats.items()}, lls[g]
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        repeats=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pass_over_one_mixed_length_group(self, lengths, repeats, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 3, 4
+        model = random_model(n, m, seed=seed)
+        seqs = [
+            rng.integers(0, m, size=t)
+            for t in rng.permutation(lengths * repeats)
+        ]
+        gp = hmm._GroupPass(
+            hmm._ragged(seqs), [len(seqs)], model.A[None], m
+        )
+        stats, lls = gp.e_step(model.B[None], model.pi[None])
+        assert_matches_forward_backward(
+            model, seqs, {name: v[0] for name, v in stats.items()}, lls[0]
+        )
+
+    def test_fit_holds_one_block_pass_of_alpha(self):
+        # 19 blocks; the largest block's alpha is 1769 KiB.  Keeping the
+        # previous block's pass alive while the next is built, or gathering
+        # a whole block's emissions at once, each adds about one more alpha
+        rng = np.random.default_rng(0)
+        seqs = [
+            StateSequence(rng.integers(0, 6, size=t))
+            for t in rng.integers(1, 60, size=3000)
+        ]
+        n_hidden = 32
+        # a first fit does the one-time work (lazy imports, about 1 MiB)
+        # that would otherwise count towards the traced peak
+        baum_welch_fit(seqs[:10], n_hidden, n_obs=6, seed=1, max_iters=2)
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 4096):
+            blocks = hmm._em_blocks([s.symbols for s in seqs])
+            assert len(blocks) == 19
+            alpha_bytes = max(b.obs.size for b in blocks) * n_hidden * 8
+            del blocks
+            tracemalloc.start()
+            try:
+                baum_welch_fit(seqs, n_hidden, n_obs=6, seed=1, max_iters=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.2 * alpha_bytes, (peak, alpha_bytes)
 
     def test_blocks_close_only_where_the_length_changes(self):
         rng = np.random.default_rng(0)
@@ -374,7 +457,7 @@ class TestPredictNext:
     def test_matches_brute_force_rescoring(self):
         for case in range(100):
             model = random_model(3, 4, seed=200 + case)
-            prefix = sample(model, 5, seed=300 + case)
+            prefix = draw(model, 5, seed=300 + case)
             symbol, _ = predict_next(model, prefix)
             expected = oracles.brute_force_predict(
                 lambda ext: score(model, StateSequence(ext)),
@@ -393,7 +476,7 @@ class TestPredictNext:
 
     def test_streaming_matches_pointwise(self):
         model = random_model(4, 5, seed=13)
-        seq = sample(model, 20, seed=14)
+        seq = draw(model, 20, seed=14)
         stream = predict_points([model], [seq.symbols])[:, 0]
         for t in range(1, len(seq)):
             point, _ = predict_next(model, StateSequence(seq.symbols[:t]))
@@ -510,13 +593,13 @@ class TestPredictPoints:
 
 class TestSample:
     def test_deterministic_generator_sequence(self, alternating_model):
-        seq = sample(alternating_model, 4, seed=0)
+        seq = draw(alternating_model, 4, seed=0)
         np.testing.assert_array_equal(seq.symbols, [0, 1, 0, 1])
 
     def test_same_seed_same_sequence(self):
         model = random_model(3, 5, seed=4)
-        a = sample(model, 25, seed=99)
-        b = sample(model, 25, seed=99)
+        a = draw(model, 25, seed=99)
+        b = draw(model, 25, seed=99)
         np.testing.assert_array_equal(a.symbols, b.symbols)
 
     def test_empirical_frequencies_near_stationary(self):
@@ -534,7 +617,7 @@ class TestSample:
     def test_length_validation(self):
         model = random_model(2, 2, seed=0)
         with pytest.raises(DomainError):
-            sample(model, 0, seed=0)
+            sample_batch(model, np.array([3, 0]), np.random.default_rng(0))
 
 
 class TestSerialization:

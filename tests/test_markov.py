@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhmm.errors import DomainError, EstimationError
-from fhmm.markov import (
-    fit_markov,
-    load_markov,
-    predict_next_markov,
-    sample_markov,
-    save_markov,
-    MarkovChainModel,
-)
+from fhmm.hmm import HmmModel, sample_batch
+from fhmm.markov import fit_markov, predict_next_markov, MarkovChainModel
 
 from conftest import make_seq
 
@@ -29,9 +23,13 @@ class TestFit:
     def test_refit_recovers_generator(self):
         T1 = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
         init = np.array([0.5, 0.3, 0.2])
-        gen = MarkovChainModel(n_obs=3, T1=T1, init=init, smoothing=0.0)
+        # a Markov chain is an HMM whose hidden states emit themselves
+        gen = HmmModel(n_hidden=3, n_obs=3, A=T1, B=np.eye(3), pi=init)
         rng = np.random.default_rng(17)
-        seqs = [make_seq(sample_markov(gen, 20, rng), f"s{i}") for i in range(1000)]
+        seqs = [
+            make_seq(o, f"s{i}")
+            for i, o in enumerate(sample_batch(gen, np.full(1000, 20), rng))
+        ]
         refit = fit_markov(seqs, n_obs=3, smoothing=1.0)
         assert np.abs(refit.T1 - T1).max() < 0.05
 
@@ -90,13 +88,3 @@ class TestPredict:
         b = predict_next_markov(model, make_seq(head_b + [last]))
         assert a == b
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        model = fit_markov([make_seq([0, 1, 2, 1, 0])], n_obs=3, smoothing=0.7)
-        path = tmp_path / "markov.json"
-        save_markov(model, path)
-        loaded = load_markov(path)
-        assert np.array_equal(model.T1, loaded.T1)
-        assert np.array_equal(model.init, loaded.init)
-        assert model.smoothing == loaded.smoothing
