@@ -42,6 +42,7 @@ from .hmm import (
     point_offsets,
     predict_next_all,
     predict_points,
+    prediction_dtype,
     stack_models,
 )
 from .ingest import default_mapping
@@ -226,16 +227,19 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
         config.parallel, config.workers,
     )
     fits: list = [None] * len(lengths)
+    for share, (share_fits, _) in zip(shares, parts):
+        for i, fit in zip(share, share_fits):
+            fits[i] = fit
     preds = None
     if stage2_sessions is not None:
         offsets = point_offsets(
             [len(s) for s in stage2_sessions], config.stride
         )
-        preds = np.empty((offsets[-1], len(lengths)), dtype=np.int64)
-    for share, (share_fits, share_preds) in zip(shares, parts):
-        for i, fit in zip(share, share_fits):
-            fits[i] = fit
-        if preds is not None:
+        preds = np.empty(
+            (offsets[-1], len(lengths)),
+            dtype=prediction_dtype([model for model, _ in fits]),
+        )
+        for share, (_, share_preds) in zip(shares, parts):
             preds[:, share] = share_preds
     results = [
         (length, model, fit_converged(trace, config.tol), len(trace))
@@ -340,9 +344,11 @@ def stage2_arrays(
 ):
     """(P, K) prediction matrix plus counts and targets, canonical order.
 
-    In parallel, the sessions are dealt by length, round-robin, into one
-    chunk per worker; each chunk runs the stacked kernel and its rows are
-    scattered back into the canonical order.
+    The matrix has the dtype `predict_points` returns in either mode,
+    `prediction_dtype(models)`: uint8 for up to 256 symbols, one byte per
+    point and model.  In parallel, the sessions are dealt by length,
+    round-robin, into one chunk per worker; each chunk runs the stacked
+    kernel and its rows are scattered back into the canonical order.
     """
     _check_stage2(sessions, stride)
     offsets, counts, targets = _stage2_meta(sessions, stride, max_len)
@@ -358,7 +364,9 @@ def stage2_arrays(
          for idx in chunks],
         parallel, workers,
     )
-    preds = np.empty((targets.size, len(models)), dtype=np.int64)
+    preds = np.empty(
+        (targets.size, len(models)), dtype=prediction_dtype(models)
+    )
     for idx, part in zip(chunks, parts):
         rows = [np.arange(offsets[i], offsets[i + 1]) for i in idx]
         preds[np.concatenate(rows)] = part

@@ -95,7 +95,7 @@ def encode(inp: FusionInput, k: int, n_obs: int) -> np.ndarray:
 def encode_batch(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
     """Vectorized encode for a (P, K) prediction matrix and (P,) counts."""
     preds, counts = _checked_points(preds, counts, n_obs)
-    return _encode_rows(preds, counts, n_obs)
+    return _RowEncoder(preds, counts, n_obs)(slice(None))
 
 
 def _checked_points(preds, counts, n_obs: int):
@@ -112,7 +112,9 @@ def _checked_points(preds, counts, n_obs: int):
         )
     if preds.size and (preds.min() < 0 or preds.max() >= n_obs):
         raise DomainError("prediction symbol out of range")
-    if not ((counts >= 0.0) & (counts <= 1.0)).all():
+    # min and max, unlike a comparison per count, allocate nothing; NaN
+    # propagates through them and fails the test
+    if counts.size and not (counts.min() >= 0.0 and counts.max() <= 1.0):
         raise DomainError("count must lie in [0, 1]")
     return preds, counts
 
@@ -126,14 +128,34 @@ def _checked_targets(targets, n_obs: int, n: int) -> np.ndarray:
     return targets
 
 
-def _encode_rows(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
-    """encode_batch without the checks, for rows already checked."""
-    p, k = preds.shape
-    X = np.zeros((p, k * n_obs + 1))
-    cols = np.arange(k)[None, :] * n_obs + preds
-    X[np.arange(p)[:, None], cols] = 1.0
-    X[:, -1] = counts
-    return X
+class _RowEncoder:
+    """encode_batch without the checks, for rows of a (P, K) matrix and its
+    counts already checked, into one buffer reused call after call.
+
+    The buffer grows to the largest call's rows and is then only rewritten:
+    each call clears the ones the previous call set, so no call allocates or
+    zero-fills a (rows, K*M+1) matrix.  A call returns a view of the
+    buffer's leading rows, valid until the next call.
+    """
+
+    def __init__(self, preds: np.ndarray, counts: np.ndarray, n_obs: int):
+        self.preds, self.counts = preds, counts
+        self.base = np.arange(preds.shape[1]) * n_obs
+        self.X = np.zeros((0, preds.shape[1] * n_obs + 1))
+        self.ones = None                 # (rows, cols) the last call set
+
+    def __call__(self, idx) -> np.ndarray:
+        cols = self.base + self.preds[idx]
+        n = cols.shape[0]
+        if n > self.X.shape[0]:
+            self.X = np.zeros((n, self.X.shape[1]))
+        elif self.ones is not None:
+            self.X[self.ones] = 0.0
+        self.ones = (np.arange(n)[:, None], cols)
+        X = self.X[:n]
+        X[self.ones] = 1.0
+        X[:, -1] = self.counts[idx]
+        return X
 
 
 def init_network(
@@ -174,20 +196,27 @@ def forward_batch(net: FusionNetwork, X: np.ndarray) -> np.ndarray:
     return hidden @ net.w + net.b
 
 
-PREDICT_ROWS = 8192
+# Bytes of encoded float64 input per chunk of fused_predictions
+PREDICT_BYTES = 2 * 2**20
 
 
 def fused_predictions(
     net: FusionNetwork, preds: np.ndarray, counts: np.ndarray, n_obs: int
 ) -> np.ndarray:
-    """The fused prediction (argmax) at every point of a (P, K) matrix,
-    encoding PREDICT_ROWS points at a time."""
+    """The fused prediction (argmax) at every point of a (P, K) matrix, as a
+    (P,) int64 array.
+
+    Points are encoded PREDICT_BYTES // (8 * (K*M+1)) at a time (at least
+    one) into one reused buffer, so besides the result the working memory
+    does not grow with P: the buffer plus the chunk's hidden-layer arrays.
+    """
     preds, counts = _checked_points(preds, counts, n_obs)
+    step = max(1, PREDICT_BYTES // (8 * (preds.shape[1] * n_obs + 1)))
+    encode = _RowEncoder(preds, counts, n_obs)
     out = np.empty(preds.shape[0], dtype=np.int64)
-    for start in range(0, out.size, PREDICT_ROWS):
-        rows = slice(start, start + PREDICT_ROWS)
-        X = _encode_rows(preds[rows], counts[rows], n_obs)
-        out[rows] = np.argmax(forward_batch(net, X), axis=1)
+    for start in range(0, out.size, step):
+        rows = slice(start, start + step)
+        out[rows] = np.argmax(forward_batch(net, encode(rows)), axis=1)
     return out
 
 
@@ -245,13 +274,13 @@ def train_fusion_points(
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    Each minibatch is encoded on its own, so the dense (P, K*M+1) input
-    matrix is never built.
+    Each minibatch is encoded on its own into one reused (batch, K*M+1)
+    buffer, so the dense (P, K*M+1) input matrix is never built.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
     return _train(
-        lambda idx: _encode_rows(preds[idx], counts[idx], n_obs),
+        _RowEncoder(preds, counts, n_obs),
         preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
     )
 

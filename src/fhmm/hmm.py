@@ -214,17 +214,21 @@ class _Ragged:
 
 
 def _ragged(seqs: list[np.ndarray]) -> _Ragged:
-    """The ragged layout of one or more non-empty sequences."""
+    """The ragged layout of one or more non-empty sequences.
+
+    `obs` is filled one step at a time from the longest-first concatenation,
+    so besides the two of them only per-row and per-step arrays exist.
+    """
     lengths = np.array([s.size for s in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     ordered = lengths[order]
     running = np.searchsorted(-ordered, -np.arange(ordered[0]), side="left")
     starts = np.concatenate([[0], np.cumsum(running)])
-    row = np.repeat(np.arange(len(seqs)), ordered)
-    first = np.repeat(np.cumsum(ordered) - ordered, ordered)
-    step = np.arange(row.size) - first
-    obs = np.empty(row.size, dtype=np.int64)
-    obs[starts[step] + row] = np.concatenate([seqs[i] for i in order])
+    flat = np.concatenate([seqs[i] for i in order])
+    first = np.cumsum(ordered) - ordered     # each row's start in `flat`
+    obs = np.empty(flat.size, dtype=np.int64)
+    for t, n in enumerate(running.tolist()):
+        obs[starts[t]: starts[t + 1]] = flat[first[:n] + t]
     return _Ragged(order, ordered, running, starts, obs)
 
 
@@ -363,16 +367,21 @@ class _GroupPass:
         self.counts = counts = layout.running.tolist()
         self.starts = starts = layout.starts.tolist()
         self.offsets = offsets = np.cumsum([0] + sizes).tolist()
-        row = np.arange(layout.obs.size) - np.repeat(
-            layout.starts[:-1], layout.running
-        )
-        group = np.repeat(np.arange(G), sizes)[row]
-        # each stored symbol's row of the stacked B.T, and its b_num bin
-        self.emission_rows = group * n_obs + layout.obs
-        # each group's symbols in its own layout's order, group after group
-        self.own = np.argsort(group, kind="stable")
         ends = np.concatenate([[0], np.cumsum(layout.lengths)])
         self.own_offsets = ends[offsets].tolist()
+        if G == 1:
+            # one group: the stored symbols are the rows of B.T and their
+            # order is the group's own
+            self.emission_rows, self.own = layout.obs, None
+        else:
+            row = np.arange(layout.obs.size) - np.repeat(
+                layout.starts[:-1], layout.running
+            )
+            group = np.repeat(np.arange(G), sizes)[row]
+            # each stored symbol's row of the stacked B.T, and its b_num bin
+            self.emission_rows = group * n_obs + layout.obs
+            # each group's symbols in its own layout's order, group after group
+            self.own = np.argsort(group, kind="stable")
         self.alpha = np.empty((layout.obs.size, N))
         self.scale = np.empty(layout.obs.size)
         self.beta, self.emitted, self.back = np.empty((3, counts[0], N))
@@ -455,7 +464,7 @@ class _GroupPass:
 
         # per-group sums at the group's own shapes: pi over its rows at t=0,
         # and log-likelihood over its scale factors in its own layout's order
-        logs = np.take(scale, self.own)
+        logs = scale.copy() if self.own is None else np.take(scale, self.own)
         np.log(logs, out=logs)
         stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
         for g, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:])):
@@ -624,18 +633,27 @@ def _normalized(a: np.ndarray, t: int) -> np.ndarray:
     return a
 
 
+def prediction_dtype(models: list[HmmModel]) -> np.dtype:
+    """The narrowest unsigned dtype that holds every symbol the models can
+    predict: uint8 for up to 256 symbols, uint16 for up to 65,536."""
+    return np.min_scalar_type(max(m.n_obs for m in models) - 1)
+
+
 def predict_points(
     models: list[HmmModel], seqs: list[np.ndarray], stride: int = 1
 ) -> np.ndarray:
     """Every model's next-symbol prediction at every canonical point.
 
-    Returns a (P, K) int array in the order of `point_offsets`; entry
-    [p, k] equals predict_next(models[k], prefix)[0] for the prefix that
-    point predicts after.  One scaled forward pass runs all K models over
-    all sequences at once (one pass per model shape, if shapes differ):
-    in the ragged layout Baum-Welch also uses, the sequences still running
-    at step t are the first rows, so alpha is (K, rows running, N) with no
-    padding, and the next-symbol argmax is taken only at stride points.
+    Returns a (P, K) array of dtype `prediction_dtype(models)` in the order
+    of `point_offsets`; entry [p, k] equals predict_next(models[k],
+    prefix)[0] for the prefix that point predicts after.  One scaled
+    forward pass runs all K models over all sequences at once (one pass per
+    model shape, if shapes differ): in the ragged layout Baum-Welch also
+    uses, the sequences still running at step t are the first rows, so
+    alpha is (K, rows running, N) with no padding, and the next-symbol
+    argmax is taken only at stride points.  Besides the result, memory
+    holds the layout (two int64 per symbol while it is built, one after)
+    and working arrays of at most ROW_BLOCK sequences.
     """
     if stride < 1:
         raise DomainError("stride must be at least 1")
@@ -644,7 +662,7 @@ def predict_points(
     if (lengths < 1).any():
         raise DomainError("a sequence needs at least one symbol")
     offsets = point_offsets(lengths, stride)
-    out = np.empty((offsets[-1], len(models)), dtype=np.int64)
+    out = np.empty((offsets[-1], len(models)), dtype=prediction_dtype(models))
     if not seqs:
         return out
     layout = _ragged(seqs)

@@ -244,6 +244,7 @@ class TestFitSelected:
             [ref for _, ref, _, _ in want], sessions, config.stride,
             max(len(s) for s in sessions),
         )
+        assert preds.dtype == want_preds.dtype == np.uint8
         np.testing.assert_array_equal(preds, want_preds)
 
 
@@ -293,6 +294,20 @@ class TestCollectStage2:
     def test_short_sessions_rejected(self):
         with pytest.raises(DomainError):
             stage2_arrays([_cycle_model([0, 1])], [make_seq([0])], 1, 1)
+
+    @pytest.mark.parametrize("n_obs, dtype", [(6, np.uint8), (300, np.uint16)])
+    def test_parallel_matches_sequential_dtype_and_values(
+        self, n_obs, dtype, monkeypatch
+    ):
+        # enough CPUs that the sessions are dealt into three chunks
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
+        sessions = _small_corpus(seed=6, n=120).sessions
+        models = [random_model(3, n_obs, seed=s) for s in range(3)]
+        want = stage2_arrays(models, sessions, 2, 15)
+        got = stage2_arrays(models, sessions, 2, 15, parallel=True, workers=3)
+        assert got[0].dtype == want[0].dtype == dtype
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestPredict:

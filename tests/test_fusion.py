@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhmm import fusion
 from fhmm.errors import DomainError, TrainingDivergedError
 from fhmm.fusion import (
     FusionHyper,
@@ -68,6 +69,19 @@ class TestEncode:
         for i in range(7):
             np.testing.assert_array_equal(
                 X[i], encode(FusionInput(preds[i], counts[i]), 3, 4)
+            )
+
+    def test_reused_buffer_matches_fresh_encoding(self):
+        # calls that shrink, grow past the buffer and shrink again: each must
+        # leave no one of an earlier call behind
+        rng = np.random.default_rng(1)
+        preds = rng.integers(0, 4, size=(40, 3)).astype(np.uint8)
+        counts = rng.random(40)
+        encoder = fusion._RowEncoder(preds, counts, 4)
+        for idx in ([3, 1, 4, 1, 5], [9, 2], np.arange(40)[::-1], [7], []):
+            np.testing.assert_array_equal(
+                encoder(np.asarray(idx, dtype=np.int64)),
+                encode_batch(preds[idx], counts[idx], 4),
             )
 
     def test_batch_rejects_what_single_rejects(self):
@@ -319,7 +333,8 @@ class TestPointsEntry:
             )
 
     def test_fused_predictions_match_one_dense_pass(self):
-        preds, counts, _ = _points(6, 20_000, 4, 5)  # three 8192-row chunks
+        rows = fusion.PREDICT_BYTES // (8 * (4 * 5 + 1))      # one chunk
+        preds, counts, _ = _points(6, 2 * rows + 100, 4, 5)  # three chunks
         net = init_network(4 * 5 + 1, 5, FusionHyper(hidden_width=7, seed=2))
         whole = forward_batch(net, encode_batch(preds, counts, 5))
         np.testing.assert_array_equal(
@@ -327,6 +342,24 @@ class TestPointsEntry:
         )
         with pytest.raises(DomainError):
             fused_predictions(net, preds, counts + 1.0, 5)
+
+    def test_fused_predictions_memory_does_not_grow_with_points(self):
+        # besides the (P,) result, one chunk's buffer of about PREDICT_BYTES
+        # and its small per-chunk arrays, at any P
+        k, m = 16, 19
+        net = init_network(k * m + 1, m, FusionHyper(hidden_width=8, seed=2))
+        peaks = []
+        for p in (20_000, 160_000):
+            preds, counts, _ = _points(7, p, k, m)
+            preds = preds.astype(np.uint8)
+            tracemalloc.start()
+            try:
+                got = fused_predictions(net, preds, counts, m)
+                peaks.append(tracemalloc.get_traced_memory()[1] - got.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.5 * fusion.PREDICT_BYTES, peaks
+        assert peaks[1] - peaks[0] <= 0.05 * fusion.PREDICT_BYTES, peaks
 
 
 class TestFeatureImportance:

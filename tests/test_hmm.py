@@ -559,6 +559,48 @@ class TestPredictPoints:
             [predict_next(m, prefix)[0] for m in models],
         )
 
+    def test_narrowest_dtype_that_holds_every_symbol(self):
+        rng = np.random.default_rng(8)
+        seqs = [rng.integers(0, 300, size=n) for n in (9, 4, 12)]
+        models = [random_model(3, 300, seed=s) for s in (1, 2)]
+        # the symbols reversed, so that it predicts symbols above 255
+        models[0].B = models[0].B[:, ::-1].copy()
+        got = predict_points(models, seqs)
+        assert got.dtype == np.uint16
+        assert (got > 255).any()         # values uint8 would wrap
+        offsets = point_offsets([s.size for s in seqs], 1)
+        for i, s in enumerate(seqs):
+            for t in range(1, s.size):
+                prefix = StateSequence(s[:t])
+                expected = [predict_next(m, prefix)[0] for m in models]
+                np.testing.assert_array_equal(
+                    got[offsets[i] + t - 1], expected
+                )
+        small = [random_model(3, 19, seed=3), random_model(2, 256, seed=4)]
+        assert predict_points(small, [s % 19 for s in seqs]).dtype == np.uint8
+
+    def test_memory_is_the_result_plus_the_layout(self):
+        # the (P, K) result at one byte per entry; the layout and the
+        # longest-first concatenation it is filled from, two int64 per
+        # symbol; and a third int64 per symbol of slack for the
+        # per-sequence arrays and the ROW_BLOCK working arrays
+        rng = np.random.default_rng(4)
+        seqs = [
+            rng.integers(0, 19, size=t)
+            for t in rng.integers(2, 120, size=4000)
+        ]
+        models = [random_model(3, 19, seed=s) for s in range(4)]
+        predict_points(models, seqs[:10])    # one-time work off the peak
+        tracemalloc.start()
+        try:
+            got = predict_points(models, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.uint8
+        symbols = sum(s.size for s in seqs)
+        assert peak <= got.nbytes + 3 * 8 * symbols, (peak, got.nbytes)
+
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(1, 4),
