@@ -597,7 +597,16 @@ def point_offsets(lengths: np.ndarray, stride: int) -> np.ndarray:
 class ModelStack:
     """Models of one shape stacked for the stacked passes: A (K,N,N),
     B (K,N,M), B transposed (K,M,N) and pi (K,N); B transposed gathers one
-    symbol's emissions as rows.  `cols` are the models' input indices."""
+    symbol's emissions as rows.  `cols` are the models' input indices.
+
+    Entries below the smallest normal float are 0.0 in the stacks, so no
+    product takes the slow subnormal path.  A subnormal term is below half
+    an ULP of any sum above about 1e-292 that it enters, so only alpha
+    components already below that can differ from `predict_next`'s; with
+    emissions floored at EMISSION_FLOOR, row sums and next-symbol
+    probabilities are far above it.  One behaviour differs: a prefix
+    reachable only through a subnormal entry raises DegenerateSequenceError
+    in the stacked passes, where `predict_next` still predicts."""
 
     cols: list[int]
     A: np.ndarray
@@ -607,19 +616,27 @@ class ModelStack:
 
 
 def stack_models(models: list[HmmModel]) -> list[ModelStack]:
-    """One ModelStack per (n_hidden, n_obs) shape among `models`."""
+    """One ModelStack per (n_hidden, n_obs) shape among `models`, with
+    subnormal entries set to 0.0 in the stacked copies (see ModelStack);
+    the models' own arrays are left as they are."""
     if not models:
         raise DomainError("need at least one model")
     groups: dict[tuple[int, int], list[int]] = {}
     for k, m in enumerate(models):
         groups.setdefault((m.n_hidden, m.n_obs), []).append(k)
+
+    def flushed(arrays):
+        out = np.stack(arrays)
+        out[out < np.finfo(np.float64).tiny] = 0.0
+        return out
+
     stacks = []
     for cols in groups.values():
-        B = np.stack([models[k].B for k in cols])
+        B = flushed([models[k].B for k in cols])
         stacks.append(ModelStack(
-            cols, np.stack([models[k].A for k in cols]), B,
+            cols, flushed([models[k].A for k in cols]), B,
             np.ascontiguousarray(B.transpose(0, 2, 1)),
-            np.stack([models[k].pi for k in cols]),
+            flushed([models[k].pi for k in cols]),
         ))
     return stacks
 
@@ -654,6 +671,11 @@ def predict_points(
     argmax is taken only at stride points.  Besides the result, memory
     holds the layout (two int64 per symbol while it is built, one after)
     and working arrays of at most ROW_BLOCK sequences.
+
+    The pass runs on `stack_models`' stacks, whose subnormal entries are
+    0.0: a prefix that only a subnormal transition, start or emission
+    probability makes possible raises `DegenerateSequenceError` at its step,
+    where `predict_next` still predicts after it.
     """
     if stride < 1:
         raise DomainError("stride must be at least 1")

@@ -601,6 +601,56 @@ class TestPredictPoints:
         symbols = sum(s.size for s in seqs)
         assert peak <= got.nbytes + 3 * 8 * symbols, (peak, got.nbytes)
 
+    def test_stacks_hold_no_subnormal_and_leave_the_models_alone(self):
+        tiny = np.finfo(np.float64).tiny
+        models = [random_model(3, 4, seed=s) for s in (1, 2)]
+        models[0].A[0, 1] = 5e-324
+        models[0].A[1, 2] = tiny
+        models[0].pi[1] = 1e-310
+        models[1].B[2, 3] = 1e-320
+        models[1].B[0, 0] = tiny
+        models[1].pi[0] = tiny
+        before = [(m.A.copy(), m.B.copy(), m.pi.copy()) for m in models]
+        (stack,) = stack_models(models)
+        for arr in (stack.A, stack.B, stack.BT, stack.pi):
+            assert not ((arr > 0.0) & (arr < tiny)).any()
+        assert stack.A[0, 1, 2] == stack.B[1, 0, 0] == stack.pi[1, 0] == tiny
+        for k, (A, B, pi) in enumerate(before):
+            # the stacks flush only what is below tiny ...
+            np.testing.assert_array_equal(stack.A[k], np.where(A < tiny, 0.0, A))
+            np.testing.assert_array_equal(stack.B[k], np.where(B < tiny, 0.0, B))
+            np.testing.assert_array_equal(stack.BT[k], stack.B[k].T)
+            np.testing.assert_array_equal(
+                stack.pi[k], np.where(pi < tiny, 0.0, pi)
+            )
+            # ... and the models keep every bit
+            for got, kept in zip((models[k].A, models[k].B, models[k].pi),
+                                 (A, B, pi)):
+                assert got.tobytes() == kept.tobytes()
+
+    def test_prefix_reachable_only_through_a_subnormal_is_degenerate(self):
+        # state 1 is entered only through A[0, 1] = 5e-324, and only state 1
+        # emits symbol 1; the stacks flush that entry to 0.0
+        model = HmmModel(
+            n_hidden=2, n_obs=2,
+            A=np.array([[1.0, 5e-324], [0.0, 1.0]]),
+            B=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            pi=np.array([1.0, 0.0]),
+        )
+        prefix = StateSequence(np.array([0, 1]))
+        with np.errstate(over="ignore"):     # its scale factor is 1/5e-324
+            assert predict_next(model, prefix)[0] == 1
+        with pytest.raises(DegenerateSequenceError) as err:
+            predict_points([model], [np.array([0, 1, 1])])
+        assert err.value.time_step == 1
+        with pytest.raises(DegenerateSequenceError) as err:
+            predict_next_all(stack_models([model]), prefix)
+        assert err.value.time_step == 1
+        # the prefix before the subnormal step predicts as before
+        np.testing.assert_array_equal(
+            predict_points([model], [np.array([0, 0])]), [[0]]
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(1, 4),
@@ -608,12 +658,29 @@ class TestPredictPoints:
         repeats=st.integers(1, 3),
         stride=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 7),
+                st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny]),
+            ),
+            max_size=4,
+        ),
     )
     def test_matches_predict_next_at_every_point(
-        self, k, lengths, repeats, stride, seed
+        self, k, lengths, repeats, stride, seed, planted
     ):
         rng = np.random.default_rng(seed)
         models = [random_model(3, 5, seed=seed + i) for i in range(k)]
+        # values at and below the smallest normal float, which the stacks
+        # flush or keep; off A's diagonal and outside pi[0], so that every
+        # state and every start stays reachable at normal size
+        for i, pos, value in planted:
+            m = models[i % k]
+            if pos < 6:
+                row, col = divmod(pos, 2)
+                m.A[row, col + (col >= row)] = value
+            else:
+                m.pi[pos - 5] = value
         lengths = rng.permutation(lengths * repeats)
         seqs = [rng.integers(0, 5, size=n) for n in lengths]
         got = predict_points(models, seqs, stride)
