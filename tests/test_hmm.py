@@ -617,12 +617,11 @@ class TestPredictPoints:
         assert stack.A[0, 1, 2] == stack.B[1, 0, 0] == stack.pi[1, 0] == tiny
         for k, (A, B, pi) in enumerate(before):
             # the stacks flush only what is below tiny ...
-            np.testing.assert_array_equal(stack.A[k], np.where(A < tiny, 0.0, A))
-            np.testing.assert_array_equal(stack.B[k], np.where(B < tiny, 0.0, B))
-            np.testing.assert_array_equal(stack.BT[k], stack.B[k].T)
-            np.testing.assert_array_equal(
-                stack.pi[k], np.where(pi < tiny, 0.0, pi)
-            )
+            for got, kept in ((stack.A[k], A), (stack.B[k], B),
+                              (stack.BT[k], B.T), (stack.pi[k], pi)):
+                np.testing.assert_array_equal(
+                    got, np.where(kept < tiny, 0.0, kept)
+                )
             # ... and the models keep every bit
             for got, kept in zip((models[k].A, models[k].B, models[k].pi),
                                  (A, B, pi)):
@@ -672,8 +671,8 @@ class TestPredictPoints:
         rng = np.random.default_rng(seed)
         models = [random_model(3, 5, seed=seed + i) for i in range(k)]
         # values at and below the smallest normal float, which the stacks
-        # flush or keep; off A's diagonal and outside pi[0], so that every
-        # state and every start stays reachable at normal size
+        # flush or keep; off A's diagonal and outside pi[0], so that each
+        # row of A and pi keeps an entry of normal size
         for i, pos, value in planted:
             m = models[i % k]
             if pos < 6:
