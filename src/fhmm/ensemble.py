@@ -414,17 +414,6 @@ def _markov_point_predictions(model: MarkovChainModel, sessions, stride,
     return out
 
 
-def _generic_point_predictions(predict_fn, sessions, stride, offsets, total):
-    out = np.empty(total, dtype=np.int64)
-    for i, s in enumerate(sessions):
-        pos = np.arange(1, len(s), stride)
-        for j, t in enumerate(pos):
-            out[offsets[i] + j] = predict_fn(StateSequence(
-                s.symbols[:t], session_id=s.session_id
-            ))
-    return out
-
-
 def evaluate(
     predictor,
     sessions: list[StateSequence],
@@ -433,9 +422,9 @@ def evaluate(
 ) -> EvaluationReport:
     """Next-state accuracy of any supported predictor over the test sessions.
 
-    `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel, an array
-    of externally produced predictions aligned to the canonical point order,
-    or a callable mapping a prefix StateSequence to a symbol.
+    `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or an
+    array of externally produced predictions aligned to the canonical point
+    order; any other type raises DomainError.
     """
     if not sessions:
         raise DomainError("need at least one test session")
@@ -473,12 +462,6 @@ def evaluate(
                 f"expected {total}"
             )
         predictions = predictor.astype(np.int64)
-        if n_obs is None:
-            n_obs = int(max(predictions.max(), targets.max())) + 1
-    elif callable(predictor):
-        predictions = _generic_point_predictions(
-            predictor, sessions, stride, offsets, total
-        )
         if n_obs is None:
             n_obs = int(max(predictions.max(), targets.max())) + 1
     else:

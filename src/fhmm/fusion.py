@@ -128,24 +128,50 @@ def _checked_targets(targets, n_obs: int, n: int) -> np.ndarray:
     return targets
 
 
+def _set_columns(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
+    """The input columns that some row of a checked (P, K) matrix and its
+    counts sets, ascending: the symbols each model predicts, then the count
+    column if any count is nonzero.  The rows are scanned in
+    fused_predictions' chunks, so no temporary grows with P."""
+    k = preds.shape[1]
+    step = _chunk_rows(k * n_obs + 1)
+    seen = np.zeros(k * n_obs + 1, dtype=bool)
+    base = np.arange(k) * n_obs
+    for start in range(0, preds.shape[0], step):
+        seen[base + preds[start : start + step]] = True
+    seen[-1] = counts.any()
+    return np.flatnonzero(seen)
+
+
 class _RowEncoder:
     """encode_batch without the checks, for rows of a (P, K) matrix and its
-    counts already checked, into one buffer reused call after call.
+    counts already checked, into the input columns `cols` only and into one
+    buffer reused call after call.
 
-    The buffer grows to the largest call's rows and is then only rewritten:
-    each call clears the ones the previous call set, so no call allocates or
-    zero-fills a (rows, K*M+1) matrix.  A call returns a view of the
-    buffer's leading rows, valid until the next call.
+    `cols` are ascending and hold every column some row sets, so the encoded
+    rows are the full-width rows with their never-set columns left out; by
+    default they are all K*M+1 columns, encode_batch's rows.  The buffer
+    grows to the largest call's rows and is then only rewritten: each call
+    clears the ones the previous call set, so no call allocates or
+    zero-fills a (rows, cols) matrix.  A call returns a C-contiguous view of
+    the buffer's leading rows, valid until the next call.
     """
 
-    def __init__(self, preds: np.ndarray, counts: np.ndarray, n_obs: int):
+    def __init__(self, preds: np.ndarray, counts: np.ndarray, n_obs: int,
+                 cols: np.ndarray | None = None):
+        width = preds.shape[1] * n_obs + 1
+        if cols is None:
+            cols = np.arange(width)
         self.preds, self.counts = preds, counts
         self.base = np.arange(preds.shape[1]) * n_obs
-        self.X = np.zeros((0, preds.shape[1] * n_obs + 1))
+        self.at = np.zeros(width, dtype=np.intp)   # column -> place in cols
+        self.at[cols] = np.arange(cols.size)
+        self.count = cols.size > 0 and cols[-1] == width - 1
+        self.X = np.zeros((0, cols.size))
         self.ones = None                 # (rows, cols) the last call set
 
     def __call__(self, idx) -> np.ndarray:
-        cols = self.base + self.preds[idx]
+        cols = self.at[self.base + self.preds[idx]]
         n = cols.shape[0]
         if n > self.X.shape[0]:
             self.X = np.zeros((n, self.X.shape[1]))
@@ -154,7 +180,8 @@ class _RowEncoder:
         self.ones = (np.arange(n)[:, None], cols)
         X = self.X[:n]
         X[self.ones] = 1.0
-        X[:, -1] = self.counts[idx]
+        if self.count:
+            X[:, -1] = self.counts[idx]
         return X
 
 
@@ -192,12 +219,23 @@ def forward(net: FusionNetwork, x: np.ndarray) -> tuple[np.ndarray, int]:
 def forward_batch(net: FusionNetwork, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != net.n_inputs:
         raise DomainError("input dimension mismatch")
-    hidden = np.maximum(0.0, X @ net.W + net.c)
+    return _scores(net, X, net.W)
+
+
+def _scores(net: FusionNetwork, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Output scores of inputs X against the rows W of net.W that X's
+    columns hold."""
+    hidden = np.maximum(0.0, X @ W + net.c)
     return hidden @ net.w + net.b
 
 
 # Bytes of encoded float64 input per chunk of fused_predictions
 PREDICT_BYTES = 2 * 2**20
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of a fused_predictions chunk of full-width (width) inputs."""
+    return max(1, PREDICT_BYTES // (8 * width))
 
 
 def fused_predictions(
@@ -209,14 +247,20 @@ def fused_predictions(
     Points are encoded PREDICT_BYTES // (8 * (K*M+1)) at a time (at least
     one) into one reused buffer, so besides the result the working memory
     does not grow with P: the buffer plus the chunk's hidden-layer arrays.
+    Only the input columns some point sets are encoded and multiplied.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
-    step = max(1, PREDICT_BYTES // (8 * (preds.shape[1] * n_obs + 1)))
-    encode = _RowEncoder(preds, counts, n_obs)
+    width = preds.shape[1] * n_obs + 1
+    if width != net.n_inputs:
+        raise DomainError("input dimension mismatch")
+    step = _chunk_rows(width)
+    cols = _set_columns(preds, counts, n_obs)
+    encode = _RowEncoder(preds, counts, n_obs, cols)
+    W = net.W[cols]
     out = np.empty(preds.shape[0], dtype=np.int64)
     for start in range(0, out.size, step):
         rows = slice(start, start + step)
-        out[rows] = np.argmax(forward_batch(net, encode(rows)), axis=1)
+        out[rows] = np.argmax(_scores(net, encode(rows), W), axis=1)
     return out
 
 
@@ -234,9 +278,18 @@ def cost_and_gradients(
     Quadratic mode: C = (1/2n) sum ||y - out||^2 + (l2/2)(||W||^2 + ||w||^2).
     Cross-entropy mode replaces the data term with -mean log softmax(out)[y].
     """
+    return _cost_and_gradients(net, X, Y, slice(None))
+
+
+def _cost_and_gradients(net: FusionNetwork, X: np.ndarray, Y: np.ndarray,
+                        cols) -> tuple[float, dict[str, np.ndarray]]:
+    """cost_and_gradients for a batch X that holds only the input columns
+    `cols` (ascending indices, or slice(None) for all) of a batch whose
+    other columns are zero: the rows of dW outside cols are the L2 term
+    alone."""
     n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ net.W + net.c
+        z = X @ net.W[cols] + net.c
         hidden = np.maximum(0.0, z)
         out = hidden @ net.w + net.b
         if net.loss == LOSS_QUADRATIC:
@@ -254,7 +307,8 @@ def cost_and_gradients(
         db = dout.sum(axis=0)
         dhidden = dout @ net.w.T
         dz = dhidden * (z > 0.0)
-        dW = X.T @ dz + net.l2 * net.W
+        dW = net.l2 * net.W
+        dW[cols] += X.T @ dz
         dc = dz.sum(axis=0)
     return cost, {"W": dW, "c": dc, "w": dw, "b": db}
 
@@ -274,13 +328,16 @@ def train_fusion_points(
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    Each minibatch is encoded on its own into one reused (batch, K*M+1)
-    buffer, so the dense (P, K*M+1) input matrix is never built.
+    Each minibatch is encoded on its own into one reused buffer, so the
+    dense (P, K*M+1) input matrix is never built, and only into the input
+    columns some point sets, so no product multiplies a column that is zero
+    in every point.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
+    cols = _set_columns(preds, counts, n_obs)
     return _train(
-        _RowEncoder(preds, counts, n_obs),
+        _RowEncoder(preds, counts, n_obs, cols), cols,
         preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
     )
 
@@ -290,13 +347,18 @@ def train_fusion_arrays(
 ) -> tuple[FusionNetwork, list[float]]:
     """train_fusion_points on inputs already encoded as one (P, D) matrix."""
     targets = _checked_targets(targets, n_obs, X.shape[0])
-    return _train(lambda idx: X[idx], X.shape[1], targets, n_obs, hyper)
+    cols = np.flatnonzero(X.any(axis=0))
+    return _train(
+        lambda idx: X[np.ix_(idx, cols)], cols, X.shape[1], targets, n_obs,
+        hyper,
+    )
 
 
-def _train(rows, n_inputs: int, targets: np.ndarray, n_obs: int,
-           hyper: FusionHyper) -> tuple[FusionNetwork, list[float]]:
-    """The training loop; `rows(idx)` gives the encoded inputs of points idx.
-    Each minibatch's one-hot targets are rows of an identity matrix."""
+def _train(rows, cols: np.ndarray, n_inputs: int, targets: np.ndarray,
+           n_obs: int, hyper: FusionHyper) -> tuple[FusionNetwork, list[float]]:
+    """The training loop; `rows(idx)` gives the inputs of points idx in the
+    columns `cols`, C-contiguous, and every other column is zero in every
+    point.  Each minibatch's one-hot targets are rows of an identity matrix."""
     hyper.validate()
     n = targets.size
     if n == 0:
@@ -310,7 +372,9 @@ def _train(rows, n_inputs: int, targets: np.ndarray, n_obs: int,
         epoch_costs = []
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
-            cost, grads = cost_and_gradients(net, rows(idx), eye[targets[idx]])
+            cost, grads = _cost_and_gradients(
+                net, rows(idx), eye[targets[idx]], cols
+            )
             if not np.isfinite(cost):
                 raise TrainingDivergedError(epoch)
             net.W -= hyper.lr * grads["W"]

@@ -31,6 +31,8 @@ ROW_BLOCK = 1024
 # Symbols per block of the Baum-Welch E-step (see _em_blocks), which bounds
 # its stored (symbols, N) alpha; closed only where the length changes
 BLOCK_SYMBOLS = 32768
+# The smallest normal float64; anything positive below it is subnormal
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -142,12 +144,12 @@ def _forward(model: HmmModel, obs: np.ndarray):
     T = obs.size
     N = model.n_hidden
     alpha = np.empty((T, N))
-    scale = np.empty(T)
+    sums = np.empty(T)
     a = model.pi * model.B[:, obs[0]]
     s = a.sum()
     if s <= 0.0:
         raise DegenerateSequenceError(0)
-    scale[0] = 1.0 / s
+    sums[0] = s
     alpha[0] = a / s
     for t in range(1, T):
         a = (alpha[t - 1] @ model.A) * model.B[:, obs[t]]
@@ -156,10 +158,19 @@ def _forward(model: HmmModel, obs: np.ndarray):
             raise DegenerateSequenceError(t)
         # divided, not multiplied by scale[t]: the rounding of the stacked
         # prediction passes, so every path predicts the same symbol
-        scale[t] = 1.0 / s
+        sums[t] = s
         alpha[t] = a / s
-    ll = -float(np.log(scale).sum())
-    return alpha, scale, ll
+    subnormal = sums < _TINY
+    if not subnormal.any():
+        scale = 1.0 / sums
+        return alpha, scale, -float(np.log(scale).sum())
+    # a subnormal row sum's reciprocal may overflow to inf: it adds its own
+    # log instead, and the normal ones the log of their reciprocals as above
+    with np.errstate(over="ignore"):
+        scale = 1.0 / sums
+    log_scale = np.log(scale)
+    log_scale[subnormal] = -np.log(sums[subnormal])
+    return alpha, scale, -float(log_scale.sum())
 
 
 def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWorkspace:
@@ -627,7 +638,7 @@ def stack_models(models: list[HmmModel]) -> list[ModelStack]:
 
     def flushed(arrays):
         out = np.stack(arrays)
-        out[out < np.finfo(np.float64).tiny] = 0.0
+        out[out < _TINY] = 0.0
         return out
 
     stacks = []

@@ -405,12 +405,9 @@ class TestEvaluate:
         sessions = [
             make_seq(rng.integers(0, m, size=6), f"r{i}") for i in range(2200)
         ]
-        pred_rng = np.random.default_rng(99)
-
-        def uniform_predictor(prefix):
-            return int(pred_rng.integers(0, m))
-
-        report = evaluate(uniform_predictor, sessions, stride=1, n_obs=m)
+        # one uniform draw per point, 5 points per session
+        uniform = np.random.default_rng(99).integers(0, m, size=5 * len(sessions))
+        report = evaluate(uniform, sessions, stride=1, n_obs=m)
         assert report.n_points >= 10_000
         assert abs(report.overall_accuracy - 1 / m) < 0.02
 
@@ -439,6 +436,12 @@ class TestEvaluate:
         assert report.overall_accuracy == 1.0
         with pytest.raises(DomainError):
             evaluate(np.array([1, 0]), sessions, stride=1, n_obs=2)
+
+    @pytest.mark.parametrize("predictor", [lambda prefix: 0, [1, 0, 0]])
+    def test_unsupported_predictor_rejected(self, predictor):
+        sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
+        with pytest.raises(DomainError, match="unsupported predictor"):
+            evaluate(predictor, sessions, stride=1, n_obs=2)
 
     def test_identical_runs_identical_reports(self, small_ensemble):
         corpus, _, model = small_ensemble

@@ -362,6 +362,89 @@ class TestPointsEntry:
         assert peaks[1] - peaks[0] <= 0.05 * fusion.PREDICT_BYTES, peaks
 
 
+def _sparse_points(seed, p, k, m, zero_counts=False):
+    """Points where each model predicts only 2-3 of the m symbols, so most
+    one-hot input columns are never set; with zero_counts neither is the
+    count column."""
+    rng = np.random.default_rng(seed)
+    preds = np.stack([
+        rng.choice(rng.choice(m, size=rng.integers(2, 4), replace=False), p)
+        for _ in range(k)
+    ], axis=1)
+    counts = np.zeros(p) if zero_counts else rng.random(p)
+    return preds, counts, rng.integers(0, m, size=p)
+
+
+class TestCompactColumns:
+    """Training and prediction multiply only the input columns some point
+    sets; the never-set ones are zero in every encoded row."""
+
+    K, M = 5, 6
+    HYPER = dict(hidden_width=9, lr=0.2, l2=1e-3, epochs=3, batch=64, seed=7)
+
+    @pytest.mark.parametrize("zero_counts", [False, True])
+    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
+    def test_points_and_arrays_entries_agree(self, loss, zero_counts):
+        preds, counts, targets = _sparse_points(4, 1000, self.K, self.M,
+                                                zero_counts)
+        hyper = FusionHyper(**self.HYPER, loss=loss)
+        X = encode_batch(preds, counts, self.M)
+        set_cols = np.flatnonzero(X.any(axis=0))
+        assert set_cols.size <= self.K * 3 + 1
+        np.testing.assert_array_equal(
+            fusion._set_columns(preds, counts, self.M), set_cols
+        )
+        (a, a_trace), (b, b_trace) = (
+            train_fusion_points(preds, counts, targets, self.M, hyper),
+            train_fusion_arrays(X, targets, self.M, hyper),
+        )
+        assert a_trace == b_trace
+        for name in ("W", "c", "w", "b"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("zero_counts", [False, True])
+    def test_never_set_rows_only_decay(self, zero_counts):
+        preds, counts, targets = _sparse_points(5, 1000, self.K, self.M,
+                                                zero_counts)
+        hyper = FusionHyper(**self.HYPER)
+        unset = ~encode_batch(preds, counts, self.M).any(axis=0)
+        assert unset[-1] == zero_counts
+        net, _ = train_fusion_points(preds, counts, targets, self.M, hyper)
+        decayed = init_network(self.K * self.M + 1, self.M, hyper).W[unset]
+        for _ in range(hyper.epochs * -(-1000 // hyper.batch)):
+            decayed -= hyper.lr * (hyper.l2 * decayed)
+        assert np.array_equal(net.W[unset], decayed)
+
+    @pytest.mark.parametrize("zero_counts", [False, True])
+    def test_fused_predictions_match_the_dense_forward(self, zero_counts):
+        preds, counts, targets = _sparse_points(6, 3000, self.K, self.M,
+                                                zero_counts)
+        net, _ = train_fusion_points(preds, counts, targets, self.M,
+                                     FusionHyper(**self.HYPER))
+        whole = forward_batch(net, encode_batch(preds, counts, self.M))
+        np.testing.assert_array_equal(
+            fused_predictions(net, preds, counts, self.M),
+            np.argmax(whole, axis=1),
+        )
+
+    @pytest.mark.parametrize("zero_counts", [False, True])
+    def test_close_to_the_dense_reference(self, zero_counts):
+        # leaving zero columns out changes the products' shapes, so BLAS may
+        # round them differently; the net may move by rounding only
+        preds, counts, targets = _sparse_points(7, 1000, self.K, self.M,
+                                                zero_counts)
+        hyper = FusionHyper(**self.HYPER)
+        X = encode_batch(preds, counts, self.M)
+        ref, ref_trace = _dense_reference(X, one_hot_targets(targets, self.M),
+                                          hyper)
+        net, trace = train_fusion_points(preds, counts, targets, self.M, hyper)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=0)
+        for name in ("W", "c", "w", "b"):
+            np.testing.assert_allclose(
+                getattr(net, name), getattr(ref, name), rtol=0, atol=1e-12
+            )
+
+
 class TestFeatureImportance:
     def test_report_rows_and_determinism(self):
         rng = np.random.default_rng(21)

@@ -637,8 +637,13 @@ class TestPredictPoints:
             pi=np.array([1.0, 0.0]),
         )
         prefix = StateSequence(np.array([0, 1]))
-        with np.errstate(over="ignore"):     # its scale factor is 1/5e-324
+        # the row sum at step 1 is 5e-324, whose reciprocal overflows; the
+        # oracle path scores it without a floating-point warning
+        with np.errstate(all="raise"):
             assert predict_next(model, prefix)[0] == 1
+            assert score(model, prefix) == pytest.approx(
+                math.log(5e-324), abs=1e-9
+            )
         with pytest.raises(DegenerateSequenceError) as err:
             predict_points([model], [np.array([0, 1, 1])])
         assert err.value.time_step == 1
