@@ -5,6 +5,13 @@ inference, batch Baum-Welch training over many sequences, one stacked EM
 pass that fits one model per single-length group, next-symbol prediction by
 likelihood maximization, and generative sampling.
 
+Layouts: one sequence's forward pass and the Baum-Welch E-step hold alpha
+with states last, (steps, N).  The stacked prediction pass behind stage 2
+and evaluation (`predict_points`) holds it state-major, (K, N, rows), so
+its per-step work runs along contiguous rows of sequences; it adds the
+states in numpy's summation order, so that its predictions are those of
+the one-sequence pass (`predict_next`).
+
 Scaling convention (fixed for the whole package): at each step t the scale
 factor is the reciprocal of the unscaled forward row sum, alpha rows are
 multiplied by it so they sum to one, beta uses the same factors, and
@@ -26,7 +33,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200
 DEFAULT_N_HIDDEN = 5
 # Sequences per block of the stacked prediction pass (see predict_points),
-# which bounds its (K, rows, N) working arrays
+# which bounds its (K, N, rows) working arrays
 ROW_BLOCK = 1024
 # Symbols per block of the Baum-Welch E-step (see _em_blocks), which bounds
 # its stored (symbols, N) alpha; closed only where the length changes
@@ -174,12 +181,21 @@ def _forward(model: HmmModel, obs: np.ndarray):
 
 
 def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWorkspace:
-    """Full scaled forward-backward with posteriors for one sequence."""
+    """Full scaled forward-backward with posteriors for one sequence.
+
+    Raises DegenerateSequenceError at the first step whose unscaled row sum
+    is zero or subnormal, where `score` still returns a finite value.
+    """
     check_symbols(seq, model.n_obs)
     obs = seq.symbols
     T = obs.size
     N = model.n_hidden
     alpha, scale, ll = _forward(model, obs)
+    # a subnormal row sum's reciprocal exceeds 1/tiny and may overflow, and
+    # beta, gamma and digamma with it: the sequence is degenerate there
+    subnormal = np.flatnonzero(scale > 1.0 / _TINY)
+    if subnormal.size:
+        raise DegenerateSequenceError(int(subnormal[0]))
 
     beta = np.empty((T, N))
     beta[T - 1] = scale[T - 1]
@@ -661,6 +677,46 @@ def _normalized(a: np.ndarray, t: int) -> np.ndarray:
     return a
 
 
+def _state_sums(a: np.ndarray) -> np.ndarray:
+    """The sums over axis 1 of state-major alpha (K, N, rows), each equal
+    bit for bit to numpy's `sum` of that row's N states stored contiguously.
+
+    It adds the N state rows in numpy's pairwise order: below 8 terms one
+    after another; up to 128 in 8 running sums, folded as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder one after
+    another; above 128 as the sum of two halves split at a multiple of 8.
+    numpy starts from 0, and 0 + x is x.
+    """
+    n = a.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _state_sums(a[:, :half]) + _state_sums(a[:, half:])
+    if n < 8:
+        s = a[:, 0].copy()
+        rest = range(1, n)
+    else:
+        r = a[:, :8]
+        for i in range(8, n - n % 8, 8):
+            r = r + a[:, i: i + 8]
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        s = r[:, 0] + r[:, 1]
+        rest = range(n - n % 8, n)
+    for i in rest:
+        s += a[:, i]
+    return s
+
+
+def _normalized_states(a: np.ndarray, t: int) -> np.ndarray:
+    """Scale each row of state-major alpha (K, N, rows) to sum to one over
+    its N states, in place, with the sums and quotients of `_normalized`."""
+    s = _state_sums(a)
+    if (s <= 0.0).any():
+        raise DegenerateSequenceError(t)
+    a /= s[:, None, :]
+    return a
+
+
 def prediction_dtype(models: list[HmmModel]) -> np.dtype:
     """The narrowest unsigned dtype that holds every symbol the models can
     predict: uint8 for up to 256 symbols, uint16 for up to 65,536."""
@@ -677,11 +733,18 @@ def predict_points(
     prefix)[0] for the prefix that point predicts after.  One scaled
     forward pass runs all K models over all sequences at once (one pass per
     model shape, if shapes differ): in the ragged layout Baum-Welch also
-    uses, the sequences still running at step t are the first rows, so
-    alpha is (K, rows running, N) with no padding, and the next-symbol
-    argmax is taken only at stride points.  Besides the result, memory
-    holds the layout (two int64 per symbol while it is built, one after)
-    and working arrays of at most ROW_BLOCK sequences.
+    uses, the sequences still running at step t are the first rows, and
+    the next-symbol argmax is taken only at stride points.  Besides the
+    result, memory holds the layout (two int64 per symbol while it is
+    built, one after) and working arrays of at most ROW_BLOCK sequences.
+
+    Alpha is held state-major, (K, N, rows running) with no padding, so
+    each step's work runs along contiguous rows of sequences: the
+    transition product is A^T @ alpha, the emissions are gathered as
+    B[:, :, symbols], the row sums add the N state rows in numpy's pairwise
+    order (`_state_sums`), so each equals numpy's `sum` over that row's N
+    states bit for bit, and the next-symbol probabilities of all K models
+    are one batched (K, rows, M) product.
 
     The pass runs on `stack_models`' stacks, whose subnormal entries are
     0.0: a prefix that only a subnormal transition, start or emission
@@ -704,25 +767,35 @@ def predict_points(
     )
     first_point = offsets[layout.order]
     for stack in stacks:
-        A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
+        AT, B, pi = stack.A.transpose(0, 2, 1), stack.B, stack.pi
         if obs.max() >= B.shape[2]:
             raise DomainError(
                 f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
             )
-        # blocks of rows bound the working arrays to (K, ROW_BLOCK, N)
+        cols = np.array(stack.cols)
+        # blocks of rows bound the working arrays to (K, N, ROW_BLOCK)
         for lo in range(0, len(seqs), ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, len(seqs))
-            a = _normalized(pi[:, None, :] * BT[:, obs[lo:hi]], 0)
+            a = _normalized_states(
+                pi[:, :, None] * np.take(B, obs[lo:hi], axis=2), 0
+            )
             for t in range(1, int(ordered[lo])):
                 n = min(running[t], hi) - lo
-                pred = a[:, :n] @ A
+                # rebound at once: the previous alpha is freed before the
+                # (K, n, M) probabilities exist
+                a = AT @ a[:, :, :n]
                 if (t - 1) % stride == 0:
                     rows = first_point[lo: lo + n] + (t - 1) // stride
-                    # one model at a time: (n, M) probabilities, not (K, n, M)
-                    for k, col in enumerate(stack.cols):
-                        out[rows, col] = np.argmax(pred[k] @ B[k], axis=1)
-                pred *= BT[:, obs[starts[t] + lo: starts[t] + lo + n]]
-                a = _normalized(pred, t)
+                    # (K, n, M) next-symbol probabilities, one batched product
+                    out[rows[:, None], cols] = np.argmax(
+                        np.matmul(a.transpose(0, 2, 1), B), axis=2
+                    ).T
+                # np.take lays the (K, N, n) emissions out as `a` is laid
+                # out; an index on the last axis would not, and multiplies
+                # slower
+                q = starts[t] + lo
+                a *= np.take(B, obs[q: q + n], axis=2)
+                _normalized_states(a, t)
     return out
 
 

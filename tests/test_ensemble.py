@@ -295,6 +295,39 @@ class TestCollectStage2:
         with pytest.raises(DomainError):
             stage2_arrays([_cycle_model([0, 1])], [make_seq([0])], 1, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), max_size=30),
+        stride=st.integers(1, 5),
+        max_len=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_meta_equals_the_per_session_loop(
+        self, lengths, stride, max_len, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sessions = [make_seq(rng.integers(0, 7, size=n)) for n in lengths]
+        offsets, counts, targets = ensemble._stage2_meta(
+            sessions, stride, max_len
+        )
+        # one session at a time, the positions each point predicts
+        want_counts, want_targets = [], []
+        for s in sessions:
+            pos = np.arange(1, len(s), stride)
+            want_counts.append(np.minimum(pos / max_len, 1.0))
+            want_targets.append(s.symbols[pos])
+        np.testing.assert_array_equal(
+            offsets, np.cumsum([0] + [c.size for c in want_counts])
+        )
+        want_counts = np.concatenate([np.empty(0)] + want_counts)
+        want_targets = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + want_targets
+        )
+        assert counts.dtype == want_counts.dtype
+        assert counts.tobytes() == want_counts.tobytes()
+        assert targets.dtype == want_targets.dtype
+        np.testing.assert_array_equal(targets, want_targets)
+
     @pytest.mark.parametrize("n_obs, dtype", [(6, np.uint8), (300, np.uint16)])
     def test_parallel_matches_sequential_dtype_and_values(
         self, n_obs, dtype, monkeypatch

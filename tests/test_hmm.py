@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -72,6 +76,29 @@ class TestForwardBackward:
         with pytest.raises(DegenerateSequenceError) as err:
             forward_backward(alternating_model, make_seq([0, 0]))
         assert err.value.time_step == 1
+
+    @pytest.mark.parametrize("entry", [5e-324, 1e-308])
+    def test_subnormal_row_sum_names_its_step(self, entry):
+        # state 1 is entered only through A[0, 1] and alone emits symbol 1,
+        # so the row sum at step 1 is that subnormal entry; at 5e-324 its
+        # reciprocal overflows
+        model = HmmModel(
+            n_hidden=2, n_obs=2,
+            A=np.array([[1.0 - entry, entry], [0.0, 1.0]]),
+            B=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            pi=np.array([1.0, 0.0]),
+        )
+        seq = make_seq([0, 1])
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateSequenceError) as err:
+                forward_backward(model, seq)
+            assert score(model, seq) == pytest.approx(
+                math.log(entry), abs=1e-9
+            )
+            # the prefix before it keeps its posteriors
+            ws = forward_backward(model, make_seq([0, 0]))
+        assert err.value.time_step == 1
+        np.testing.assert_array_equal(ws.gamma, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_scale_sign_convention(self):
         model = random_model(2, 2, seed=0)
@@ -601,6 +628,51 @@ class TestPredictPoints:
         symbols = sum(s.size for s in seqs)
         assert peak <= got.nbytes + 3 * 8 * symbols, (peak, got.nbytes)
 
+    def test_state_sums_equal_numpy_sums_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        orders_differ = 0
+        for n in range(1, 301):
+            # terms over 16 decades, so the order of the additions shows
+            x = rng.random((2, 7, n)) * 10.0 ** rng.integers(-8, 8, (2, 7, n))
+            want = x.sum(axis=-1)
+            states = np.ascontiguousarray(x.transpose(0, 2, 1))
+            assert hmm._state_sums(states).tobytes() == want.tobytes(), n
+            one_by_one = states[:, 0].copy()
+            for i in range(1, n):
+                one_by_one += states[:, i]
+            orders_differ += one_by_one.tobytes() != want.tobytes()
+        # the data tell numpy's pairwise order from a running sum
+        assert orders_differ > 250
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # N=32 makes each block's products large enough for OpenBLAS to
+        # split them over two threads; N=10 is the standard shape
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fhmm.hmm import predict_points, random_model\n"
+            "rng = np.random.default_rng(3)\n"
+            "models = [random_model(n, 19, seed=n) for n in (32, 10, 32)]\n"
+            "seqs = [rng.integers(0, 19, size=t)\n"
+            "        for t in rng.integers(2, 30, size=1500)]\n"
+            "sys.stdout.buffer.write(predict_points(models, seqs).tobytes())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+            )
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(hmm.__file__).parents[1]), env.get("PYTHONPATH", "")]
+            )
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, timeout=300,
+            ).stdout)
+        assert len(outputs[0]) > 0
+        assert outputs[0] == outputs[1]
+
     def test_stacks_hold_no_subnormal_and_leave_the_models_alone(self):
         tiny = np.finfo(np.float64).tiny
         models = [random_model(3, 4, seed=s) for s in (1, 2)]
@@ -658,33 +730,38 @@ class TestPredictPoints:
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(1, 4),
+        n_hidden=st.integers(1, 12),
         lengths=st.lists(st.integers(2, 40), min_size=1, max_size=6),
         repeats=st.integers(1, 3),
         stride=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         planted=st.lists(
             st.tuples(
-                st.integers(0, 3), st.integers(0, 7),
+                st.integers(0, 3), st.integers(0, 143),
                 st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny]),
             ),
             max_size=4,
         ),
     )
     def test_matches_predict_next_at_every_point(
-        self, k, lengths, repeats, stride, seed, planted
+        self, k, n_hidden, lengths, repeats, stride, seed, planted
     ):
+        # up to 12 states, so the row sums take both numpy's one-by-one
+        # order (below 8 states) and its unrolled one
         rng = np.random.default_rng(seed)
-        models = [random_model(3, 5, seed=seed + i) for i in range(k)]
+        models = [random_model(n_hidden, 5, seed=seed + i) for i in range(k)]
         # values at and below the smallest normal float, which the stacks
         # flush or keep; off A's diagonal and outside pi[0], so that each
         # row of A and pi keeps an entry of normal size
-        for i, pos, value in planted:
+        off_diagonal = n_hidden * (n_hidden - 1)
+        for i, pos, value in planted if n_hidden > 1 else []:
             m = models[i % k]
-            if pos < 6:
-                row, col = divmod(pos, 2)
+            pos %= off_diagonal + n_hidden - 1
+            if pos < off_diagonal:
+                row, col = divmod(pos, n_hidden - 1)
                 m.A[row, col + (col >= row)] = value
             else:
-                m.pi[pos - 5] = value
+                m.pi[1 + pos - off_diagonal] = value
         lengths = rng.permutation(lengths * repeats)
         seqs = [rng.integers(0, 5, size=n) for n in lengths]
         got = predict_points(models, seqs, stride)
