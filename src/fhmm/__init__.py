@@ -41,7 +41,7 @@ from .ingest import (
     synth_corpus,
     write_sessions,
 )
-from .markov import MarkovChainModel, fit_markov, predict_next_markov
+from .markov import MarkovChainModel, fit_markov
 from .partition import (
     FrequencyArray,
     PartitionPlan,

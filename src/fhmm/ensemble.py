@@ -172,28 +172,29 @@ def _pool_size(workers: int) -> int:
     return min(workers, cpus) if workers > 0 else cpus
 
 
-def _run_tasks(fn, payloads, parallel: bool, workers: int):
-    """fn over payloads, in order; in a process pool when parallel.  Every
-    payload carries all its task needs, so any start method works."""
-    if not parallel or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    size = min(_pool_size(workers), len(payloads))
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, payloads))
-
-
 def _fit_task(payload):
-    """Fit one share of the groups in one stacked pass; given packed
-    sequences, also predict with the fitted models at their points."""
-    groups, seeds, config, packed = payload
+    """Fit one share of the groups in one stacked pass, then predict with
+    the fitted models at the points of each list of symbol arrays:
+    (fits, one matrix per list, seconds spent predicting)."""
+    groups, seeds, config, symbol_lists = payload
     fits = fit_groups(
         groups, seeds, n_hidden=config.n_hidden, n_obs=config.n_obs,
         tol=config.tol, max_iters=config.max_iters,
     )
-    if packed is None:
-        return fits, None
     models = [model for model, _ in fits]
-    return fits, predict_points(models, _unpacked(packed), config.stride)
+    t0 = time.perf_counter()
+    preds = [
+        predict_points(models, seqs, config.stride) for seqs in symbol_lists
+    ]
+    return fits, preds, time.perf_counter() - t0
+
+
+def _pooled_fit_task(payload):
+    """`_fit_task` in a pool worker, whose session lists arrive packed."""
+    groups, seeds, config, packed_lists = payload
+    return _fit_task(
+        (groups, seeds, config, [_unpacked(p) for p in packed_lists])
+    )
 
 
 def _deal(costs: list[int], n_shares: int) -> list[list[int]]:
@@ -205,22 +206,30 @@ def _deal(costs: list[int], n_shares: int) -> list[list[int]]:
 
 
 def _fit_selected(sessions, lengths: list[int], config: RunConfig,
-                  stage2_sessions=None):
-    """One HMM per selected length, fitted from the sessions of that length:
-    (length, model, converged, iterations) in selection order; and, given
-    `stage2_sessions`, every model's predictions at their canonical
-    points, as `stage2_arrays` returns them (else None).
+                  predict_on: list[list[StateSequence]]):
+    """One HMM per selected length, fitted from the sessions of that length,
+    and stage 2 with those models.
 
-    One stacked EM pass fits them all.  In parallel, the groups are dealt
-    to the workers, and each worker runs the pass over its share and then
-    predicts with the models it fitted, so that no worker waits for another
-    worker's fits.  A fit's iteration count is not known before it runs,
-    but each model's predictions cost about the same, so the deal gives the
-    workers equal numbers of models and spreads the costliest fits
-    (length x sessions) over different workers.  A group's arithmetic does
-    not depend on the other groups in its pass, nor a model's predictions
-    on the other models in its stack, so the deal changes no result.
+    Returns (length, model, converged, iterations) in selection order; one
+    (P, K) prediction matrix per session list in `predict_on`, canonical
+    point order, columns in selection order; and the seconds the longest
+    share spent predicting.
+
+    One stacked EM pass fits a share of the groups, and the same task then
+    predicts with the models it fitted.  Sequentially, one share holds every
+    group.  In parallel, the groups are dealt to the workers, so that no
+    worker waits for another worker's fits.  A fit's iteration count is not
+    known before it runs, but each model's predictions cost about the same,
+    so the deal gives the workers equal numbers of models and spreads the
+    costliest fits (length x sessions) over different workers.  A group's
+    arithmetic does not depend on the other groups in its pass, nor a
+    model's predictions on the other models in its stack, so the deal
+    changes no result.  Every payload carries all its task needs, so any
+    start method works; the session lists travel packed, which pickles as
+    two arrays, not one object per session.
     """
+    for seqs in predict_on:
+        _check_stage2(seqs, config.stride)
     by_length: dict[int, list] = {length: [] for length in lengths}
     for s in sessions:
         if len(s) in by_length:
@@ -234,38 +243,40 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
         )
     else:
         shares = [list(range(len(lengths)))]
-    packed = None if stage2_sessions is None else _packed(stage2_sessions)
-    parts = _run_tasks(
-        _fit_task,
-        [([groups[i] for i in share], [seeds[i] for i in share], config,
-          packed) for share in shares],
-        config.parallel, config.workers,
-    )
+    payloads = [
+        ([groups[i] for i in share], [seeds[i] for i in share], config)
+        for share in shares
+    ]
+    if len(shares) == 1:
+        # in this process the sessions' own arrays serve, unpacked
+        symbol_lists = [[s.symbols for s in seqs] for seqs in predict_on]
+        parts = [_fit_task(payloads[0] + (symbol_lists,))]
+    else:
+        packed = [_packed(seqs) for seqs in predict_on]
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = list(pool.map(
+                _pooled_fit_task, [p + (packed,) for p in payloads]
+            ))
     fits: list = [None] * len(lengths)
-    for share, (share_fits, _) in zip(shares, parts):
+    for share, (share_fits, _, _) in zip(shares, parts):
         for i, fit in zip(share, share_fits):
             fits[i] = fit
-    preds = None
-    if stage2_sessions is not None:
-        offsets = point_offsets(
-            [len(s) for s in stage2_sessions], config.stride
-        )
-        preds = np.empty(
-            (offsets[-1], len(lengths)),
-            dtype=prediction_dtype([model for model, _ in fits]),
-        )
-        for share, (_, share_preds) in zip(shares, parts):
-            preds[:, share] = share_preds
+    if shares == [list(range(len(lengths)))]:
+        # one share in selection order: its matrices are the result
+        preds = parts[0][1]
+    else:
+        dtype = prediction_dtype([model for model, _ in fits])
+        preds = []
+        for j, first in enumerate(parts[0][1]):
+            out = np.empty((first.shape[0], len(lengths)), dtype=dtype)
+            for share, (_, share_preds, _) in zip(shares, parts):
+                out[:, share] = share_preds[j]
+            preds.append(out)
     results = [
         (length, model, fit_converged(trace, config.tol), len(trace))
         for length, (model, trace) in zip(lengths, fits)
     ]
-    return results, preds
-
-
-def _points_task(payload):
-    models, packed, stride = payload
-    return predict_points(models, _unpacked(packed), stride)
+    return results, preds, max(seconds for _, _, seconds in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +291,10 @@ def train_ensemble(
     Parallel and sequential modes produce bit-identical models: each HMM's
     seed is base_seed XOR its length key, so results do not depend on
     scheduling.  HMMs that stop at the iteration cap are recorded as warnings
-    on the model, not failures.  In parallel, the workers that fit the HMMs
-    also run stage 2 with them, so `timings["hmm_training"]` covers both.
+    on the model, not failures.  The task that fits the HMMs also runs
+    stage 2 with them; `timings["stage2"]` holds the longest share's
+    prediction time plus the stage-2 metadata, and `timings["hmm_training"]`
+    the rest of that task's wall time.
     """
     if not sessions:
         raise DomainError("need at least one training session")
@@ -294,10 +307,8 @@ def train_ensemble(
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _check_stage2(sessions, config.stride)
-    results, preds = _fit_selected(
-        sessions, plan.selected_lengths, config,
-        stage2_sessions=sessions if config.parallel else None,
+    results, (preds,), predict_time = _fit_selected(
+        sessions, plan.selected_lengths, config, [sessions]
     )
     models = {length: model for length, model, _, _ in results}
     warnings_list = [
@@ -305,17 +316,12 @@ def train_ensemble(
         for length, _, converged, iters in results
         if not converged
     ]
-    timings["hmm_training"] = time.perf_counter() - t0
+    timings["hmm_training"] = time.perf_counter() - t0 - predict_time
 
     t0 = time.perf_counter()
     max_len = max(len(s) for s in sessions)
     _, counts, targets = _stage2_meta(sessions, config.stride, max_len)
-    if preds is None:
-        preds = predict_points(
-            [models[length] for length in plan.selected_lengths],
-            [s.symbols for s in sessions], config.stride,
-        )
-    timings["stage2"] = time.perf_counter() - t0
+    timings["stage2"] = predict_time + time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fusion, _ = train_fusion_points(
@@ -354,37 +360,15 @@ def stage2_arrays(
     sessions: list[StateSequence],
     stride: int,
     max_len: int,
-    parallel: bool = False,
-    workers: int = 0,
 ):
     """(P, K) prediction matrix plus counts and targets, canonical order.
 
-    The matrix has the dtype `predict_points` returns in either mode,
-    `prediction_dtype(models)`: uint8 for up to 256 symbols, one byte per
-    point and model.  In parallel, the sessions are dealt by length,
-    round-robin, into one chunk per worker; each chunk runs the stacked
-    kernel and its rows are scattered back into the canonical order.
+    The matrix has the dtype `prediction_dtype(models)`: uint8 for up to 256
+    symbols, one byte per point and model.
     """
     _check_stage2(sessions, stride)
-    offsets, counts, targets = _stage2_meta(sessions, stride, max_len)
-    seqs = [s.symbols for s in sessions]
-    if not parallel:
-        return predict_points(models, seqs, stride), counts, targets
-    n_chunks = min(_pool_size(workers), len(seqs))
-    by_length = np.argsort([-len(s) for s in seqs], kind="stable")
-    chunks = [by_length[c::n_chunks] for c in range(n_chunks)]
-    parts = _run_tasks(
-        _points_task,
-        [(models, _packed([sessions[i] for i in idx]), stride)
-         for idx in chunks],
-        parallel, workers,
-    )
-    preds = np.empty(
-        (targets.size, len(models)), dtype=prediction_dtype(models)
-    )
-    for idx, part in zip(chunks, parts):
-        rows = [np.arange(offsets[i], offsets[i + 1]) for i in idx]
-        preds[np.concatenate(rows)] = part
+    _, counts, targets = _stage2_meta(sessions, stride, max_len)
+    preds = predict_points(models, [s.symbols for s in sessions], stride)
     return preds, counts, targets
 
 
@@ -419,14 +403,14 @@ def _fused_point_predictions(model: EnsembleModel, sessions, stride):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _markov_point_predictions(model: MarkovChainModel, sessions, stride,
-                              offsets, total):
-    row_argmax = np.argmax(model.T1, axis=1)
-    out = np.empty(total, dtype=np.int64)
-    for i, s in enumerate(sessions):
-        pos = np.arange(1, len(s), stride)
-        out[offsets[i]: offsets[i + 1]] = row_argmax[s.symbols[pos - 1]]
-    return out
+def _markov_point_predictions(model: MarkovChainModel, sessions, stride):
+    """The argmax of each point's previous symbol's transition row; the
+    previous symbols are the sessions' strided symbols, joined."""
+    previous = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [s.symbols[:-1:stride] for s in sessions]
+    )
+    return np.argmax(model.T1, axis=1)[previous]
 
 
 def evaluate(
@@ -456,7 +440,7 @@ def evaluate(
         }
         n_obs = predictor.n_obs
     else:
-        offsets, _, targets = _stage2_meta(
+        _, _, targets = _stage2_meta(
             sessions, stride, max(len(s) for s in sessions)
         )
         if isinstance(predictor, HmmModel):
@@ -466,7 +450,7 @@ def evaluate(
             n_obs = predictor.n_obs
         elif isinstance(predictor, MarkovChainModel):
             predictions = _markov_point_predictions(
-                predictor, sessions, stride, offsets, targets.size
+                predictor, sessions, stride
             )
             n_obs = predictor.n_obs
         elif isinstance(predictor, np.ndarray):
@@ -564,19 +548,14 @@ def sweep_k(
     k_max = ks[-1]
 
     plan = build_plan(train, config.n_obs, k_max, config.min_support)
-    results, _ = _fit_selected(train, plan.selected_lengths, config)
-    models = {length: model for length, model, _, _ in results}
-    model_list = [models[length] for length in plan.selected_lengths]
-
+    _, (train_preds, test_preds), _ = _fit_selected(
+        train, plan.selected_lengths, config, [train, test]
+    )
     max_len = max(len(s) for s in train)
-    train_preds, train_counts, train_targets = stage2_arrays(
-        model_list, train, config.stride, max_len,
-        parallel=config.parallel, workers=config.workers,
+    _, train_counts, train_targets = _stage2_meta(
+        train, config.stride, max_len
     )
-    test_preds, test_counts, test_targets = stage2_arrays(
-        model_list, test, config.stride, max_len,
-        parallel=config.parallel, workers=config.workers,
-    )
+    _, test_counts, test_targets = _stage2_meta(test, config.stride, max_len)
 
     curve = []
     for k in ks:
@@ -652,7 +631,6 @@ def _plan_from_doc(doc: dict, selected: list[int]) -> PartitionPlan:
         for key in sorted(doc["frequency_arrays"], key=int)
     ]
     return PartitionPlan(
-        groups=[],
         freq_arrays=freq_arrays,
         distances=serialize.array_from_doc(doc["distance_matrix"]),
         ranks={int(k): v for k, v in doc["ranks"].items()},
@@ -727,8 +705,7 @@ def feature_importance_report(
     """Table of per-feature weight mass over seeded fusion retrainings."""
     model_list = [model.models[length] for length in model.selected_lengths]
     preds, counts, targets = stage2_arrays(
-        model_list, sessions, config.stride, model.max_len,
-        parallel=config.parallel, workers=config.workers,
+        model_list, sessions, config.stride, model.max_len
     )
     names = [f"hmm_{length}" for length in model.selected_lengths]
     return feature_importance(

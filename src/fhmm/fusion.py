@@ -313,11 +313,6 @@ def _cost_and_gradients(net: FusionNetwork, X: np.ndarray, Y: np.ndarray,
     return cost, {"W": dW, "c": dc, "w": dw, "b": db}
 
 
-def one_hot_targets(targets: np.ndarray, n_obs: int) -> np.ndarray:
-    targets = _checked_targets(targets, n_obs, np.size(targets))
-    return np.eye(n_obs)[targets]
-
-
 def train_fusion_points(
     preds: np.ndarray,
     counts: np.ndarray,

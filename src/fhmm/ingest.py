@@ -120,15 +120,6 @@ def default_mapping() -> EventMapping:
 
 
 @dataclass
-class RawEvent:
-    eventid: str
-    session: str
-    timestamp: str
-    input: str | None = None
-    src_ip: str = ""
-
-
-@dataclass
 class SkipReport:
     """Exact accounting of every input line's fate."""
 
@@ -226,7 +217,6 @@ def parse_logs(
             StateSequence(
                 np.array([e[2] for e in events], dtype=np.int64),
                 session_id=session_id,
-                timestamps=[e[0].timestamp() for e in events],
             )
         )
     return sessions, report

@@ -78,9 +78,3 @@ def fit_markov(
     model = MarkovChainModel(n_obs=m, T1=T1, init=init, smoothing=smoothing)
     model.validate()
     return model
-
-
-def predict_next_markov(model: MarkovChainModel, prefix: StateSequence) -> int:
-    """argmax over the last symbol's transition row, lowest index on ties."""
-    check_symbols(prefix, model.n_obs)
-    return int(np.argmax(model.T1[prefix.symbols[-1]]))

@@ -35,7 +35,6 @@ class FrequencyArray:
 
 @dataclass
 class PartitionPlan:
-    groups: list[tuple[int, list[str]]]          # (length, session ids)
     freq_arrays: list[FrequencyArray]
     distances: np.ndarray                        # G x G Euclidean
     ranks: dict[int, int]                        # length -> selection order
@@ -93,7 +92,6 @@ def dissimilarity_matrix(freq_arrays: list[FrequencyArray]) -> np.ndarray:
 
 
 def select_k(
-    groups: list[tuple[int, list[StateSequence]]],
     freq_arrays: list[FrequencyArray],
     distances: np.ndarray,
     k: int,
@@ -141,7 +139,6 @@ def select_k(
     total = int(supports.sum())
     coverage = float(supports[selected].sum()) / total
     return PartitionPlan(
-        groups=[(length, [s.session_id for s in seqs]) for length, seqs in groups],
         freq_arrays=freq_arrays,
         distances=distances,
         ranks=ranks,
@@ -162,7 +159,7 @@ def build_plan(
     groups = group_by_length(sessions)
     freq_arrays = [frequency_array(seqs, n_obs) for _, seqs in groups]
     distances = dissimilarity_matrix(freq_arrays)
-    return select_k(groups, freq_arrays, distances, k, min_support)
+    return select_k(freq_arrays, distances, k, min_support)
 
 
 def project_2d(freq_arrays: list[FrequencyArray]) -> Projection2D:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class StateSequence:
 
     symbols: np.ndarray
     session_id: str = ""
-    timestamps: list[float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.symbols, dtype=np.int64)

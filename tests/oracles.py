@@ -124,3 +124,17 @@ def floor_row(weights, floor: float) -> np.ndarray:
         pinned |= newly
     out[pinned] = floor
     return out
+
+
+def predict_next_markov(model, prefix) -> int:
+    """A first-order chain's next symbol after `prefix`: the argmax of its
+    last symbol's transition row, lowest index on ties."""
+    return int(np.argmax(model.T1[prefix.symbols[-1]]))
+
+
+def one_hot_targets(targets, n_obs: int) -> np.ndarray:
+    """(P, n_obs) indicator rows, one per target symbol."""
+    out = np.zeros((len(targets), n_obs))
+    for row, target in enumerate(targets):
+        out[row, int(target)] = 1.0
+    return out

@@ -19,7 +19,7 @@ from fhmm.ensemble import (
     sweep_k,
     train_ensemble,
 )
-from fhmm.fusion import FusionHyper, cost_and_gradients, init_network, one_hot_targets
+from fhmm.fusion import FusionHyper, cost_and_gradients, init_network
 from fhmm.hmm import (
     HmmModel,
     baum_welch_fit,
@@ -183,7 +183,7 @@ class TestCriterion4FusionGradients:
             hyper = FusionHyper(hidden_width=4 + case % 5, seed=case, l2=1e-3)
             net = init_network(k * m + 1, m, hyper)
             X = rng.random((4, k * m + 1))
-            Y = one_hot_targets(rng.integers(0, m, size=4), m)
+            Y = oracles.one_hot_targets(rng.integers(0, m, size=4), m)
             _, grads = cost_and_gradients(net, X, Y)
             for name in ("W", "c", "w", "b"):
                 flat = getattr(net, name).ravel()

@@ -133,11 +133,20 @@ class TestTrainEnsemble:
         for length, m in model.models.items():
             assert m.seed == config.base_seed ^ length
 
-    def test_timings_recorded(self, small_ensemble):
-        _, _, model = small_ensemble
-        assert set(model.timings) == {
-            "partition", "hmm_training", "stage2", "fusion", "total",
-        }
+    def test_timings_recorded(self, small_ensemble, monkeypatch):
+        corpus, config, model = small_ensemble
+        # enough CPUs that the fits and stage 2 run in two workers
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        parallel = train_ensemble(
+            corpus.sessions,
+            dataclasses.replace(config, parallel=True, workers=2),
+        )
+        for timed in (model, parallel):
+            assert set(timed.timings) == {
+                "partition", "hmm_training", "stage2", "fusion", "total",
+            }
+            assert all(seconds >= 0 for seconds in timed.timings.values())
+            assert timed.timings["stage2"] > 0
 
     def test_parallel_matches_sequential_bitwise(self, tmp_path):
         corpus = _small_corpus(seed=5)
@@ -219,33 +228,39 @@ class TestFitSelected:
         # enough CPUs that the groups are dealt into `workers` shares
         monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
         sessions = _small_corpus(seed=4, n=300).sessions
+        held_out = _small_corpus(seed=6, n=120).sessions
         counts: dict[int, int] = {}
         for s in sessions:
             counts[len(s)] = counts.get(len(s), 0) + 1
         lengths = sorted(counts, key=lambda length: -counts[length])[:5]
-        config = _small_config(max_iters=30)
-        want, no_preds = ensemble._fit_selected(sessions, lengths, config)
-        assert no_preds is None
-        got, preds = ensemble._fit_selected(
-            sessions, lengths,
-            dataclasses.replace(config, parallel=True, workers=workers),
-            stage2_sessions=sessions,
-        )
-        assert [row[0] for row in got] == lengths
-        for (_, model, converged, iters), (_, ref, ref_conv, ref_iters) in zip(
-            got, want
-        ):
-            assert (converged, iters) == (ref_conv, ref_iters)
-            for name in ("A", "B", "pi"):
-                np.testing.assert_array_equal(
-                    getattr(model, name), getattr(ref, name)
+        # 300 symbols take uint16 predictions, 6 take uint8
+        for n_obs, dtype in [(6, np.uint8), (300, np.uint16)]:
+            config = _small_config(max_iters=30, n_obs=n_obs, stride=2)
+            want, want_preds, _ = ensemble._fit_selected(
+                sessions, lengths, config, [sessions, held_out]
+            )
+            got, preds, _ = ensemble._fit_selected(
+                sessions, lengths,
+                dataclasses.replace(config, parallel=True, workers=workers),
+                [sessions, held_out],
+            )
+            assert [row[0] for row in got] == lengths
+            for (_, model, *fit), (_, ref, *ref_fit) in zip(got, want):
+                assert fit == ref_fit
+                for name in ("A", "B", "pi"):
+                    np.testing.assert_array_equal(
+                        getattr(model, name), getattr(ref, name)
+                    )
+            refs = [ref for _, ref, _, _ in want]
+            for seqs, got_preds, one_pass in zip(
+                [sessions, held_out], preds, want_preds
+            ):
+                ref_preds, _, _ = stage2_arrays(
+                    refs, seqs, config.stride, max(len(s) for s in seqs)
                 )
-        want_preds, _, _ = stage2_arrays(
-            [ref for _, ref, _, _ in want], sessions, config.stride,
-            max(len(s) for s in sessions),
-        )
-        assert preds.dtype == want_preds.dtype == np.uint8
-        np.testing.assert_array_equal(preds, want_preds)
+                assert got_preds.dtype == one_pass.dtype == dtype
+                np.testing.assert_array_equal(one_pass, ref_preds)
+                np.testing.assert_array_equal(got_preds, ref_preds)
 
 
 class TestCollectStage2:
@@ -328,20 +343,6 @@ class TestCollectStage2:
         assert targets.dtype == want_targets.dtype
         np.testing.assert_array_equal(targets, want_targets)
 
-    @pytest.mark.parametrize("n_obs, dtype", [(6, np.uint8), (300, np.uint16)])
-    def test_parallel_matches_sequential_dtype_and_values(
-        self, n_obs, dtype, monkeypatch
-    ):
-        # enough CPUs that the sessions are dealt into three chunks
-        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
-        sessions = _small_corpus(seed=6, n=120).sessions
-        models = [random_model(3, n_obs, seed=s) for s in range(3)]
-        want = stage2_arrays(models, sessions, 2, 15)
-        got = stage2_arrays(models, sessions, 2, 15, parallel=True, workers=3)
-        assert got[0].dtype == want[0].dtype == dtype
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
 
 class TestPredict:
     def test_agreeing_models_win_after_training(self):
@@ -399,7 +400,7 @@ class TestPredict:
         keys = list(range(2, 2 + k))
         model = EnsembleModel(
             plan=PartitionPlan(
-                groups=[], freq_arrays=[], distances=np.zeros((0, 0)),
+                freq_arrays=[], distances=np.zeros((0, 0)),
                 ranks={}, selected_lengths=keys, coverage=1.0,
             ),
             models={key: random_model(3, n_obs, seed + key) for key in keys},
@@ -535,6 +536,18 @@ class TestSweepK:
             model = train_ensemble(train, cfg_k)
             report = evaluate(model, test, stride=config.stride)
             assert error == pytest.approx(1.0 - report.overall_accuracy, abs=1e-12)
+
+    def test_parallel_gives_the_same_curve(self, monkeypatch):
+        # enough CPUs that the fits and stage 2 run in two workers
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        corpus = _small_corpus(seed=9, n=300)
+        config = _small_config(epochs=10)
+        want = sweep_k(corpus.sessions, [1, 2], config)
+        got = sweep_k(
+            corpus.sessions, [1, 2],
+            dataclasses.replace(config, parallel=True, workers=2),
+        )
+        assert got == want
 
     def test_duplicate_or_unsorted_k_rejected(self):
         corpus = _small_corpus(seed=1, n=60)

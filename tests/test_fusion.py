@@ -22,7 +22,6 @@ from fhmm.fusion import (
     fusion_to_doc,
     init_network,
     input_block_weights,
-    one_hot_targets,
     train_fusion_arrays,
     train_fusion_points,
 )
@@ -147,7 +146,7 @@ def _random_case(seed, loss="quadratic"):
     hyper = FusionHyper(hidden_width=h, seed=seed, l2=1e-3, loss=loss)
     net = init_network(k * m + 1, m, hyper)
     X = rng.random((3, k * m + 1))
-    Y = one_hot_targets(rng.integers(0, m, size=3), m)
+    Y = oracles.one_hot_targets(rng.integers(0, m, size=3), m)
     return net, X, Y
 
 
@@ -291,7 +290,8 @@ class TestPointsEntry:
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
                             batch=64, seed=7, loss=loss)
         X = encode_batch(preds, counts, 6)
-        ref, ref_trace = _dense_reference(X, one_hot_targets(targets, 6), hyper)
+        Y = oracles.one_hot_targets(targets, 6)
+        ref, ref_trace = _dense_reference(X, Y, hyper)
         for net, trace in (
             train_fusion_points(preds, counts, targets, 6, hyper),
             train_fusion_arrays(X, targets, 6, hyper),
@@ -435,8 +435,8 @@ class TestCompactColumns:
                                                 zero_counts)
         hyper = FusionHyper(**self.HYPER)
         X = encode_batch(preds, counts, self.M)
-        ref, ref_trace = _dense_reference(X, one_hot_targets(targets, self.M),
-                                          hyper)
+        Y = oracles.one_hot_targets(targets, self.M)
+        ref, ref_trace = _dense_reference(X, Y, hyper)
         net, trace = train_fusion_points(preds, counts, targets, self.M, hyper)
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=0)
         for name in ("W", "c", "w", "b"):

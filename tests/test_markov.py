@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhmm import ensemble
 from fhmm.errors import DomainError, EstimationError
 from fhmm.hmm import HmmModel, sample_batch
-from fhmm.markov import fit_markov, predict_next_markov, MarkovChainModel
+from fhmm.markov import fit_markov, MarkovChainModel
+from fhmm.sequences import StateSequence
 
 from conftest import make_seq
+from oracles import predict_next_markov
 
 
 class TestFit:
@@ -88,3 +91,26 @@ class TestPredict:
         b = predict_next_markov(model, make_seq(head_b + [last]))
         assert a == b
 
+    @given(
+        lengths=st.lists(st.integers(1, 30), max_size=20),
+        stride=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_points_match_the_per_prefix_oracle(
+        self, lengths, stride, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sessions = [make_seq(rng.integers(0, 4, size=n)) for n in lengths]
+        model = fit_markov(
+            [make_seq(rng.integers(0, 4, size=12)) for _ in range(5)],
+            n_obs=4, smoothing=0.5,
+        )
+        want = [
+            predict_next_markov(model, StateSequence(s.symbols[:t]))
+            for s in sessions
+            for t in range(1, len(s), stride)
+        ]
+        got = ensemble._markov_point_predictions(model, sessions, stride)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))

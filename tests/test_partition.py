@@ -127,32 +127,32 @@ def _plan_inputs(lists_by_length):
             i += 1
     groups = group_by_length(sessions)
     fas = [frequency_array(seqs, 3) for _, seqs in groups]
-    return groups, fas, dissimilarity_matrix(fas)
+    return fas, dissimilarity_matrix(fas)
 
 
 class TestSelectK:
     def test_selects_all_when_k_equals_group_count(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 3, 3: [[2, 2, 2]] * 2, 4: [[0, 0, 1, 2]] * 4,
         })
-        plan = select_k(groups, fas, d, k=3, min_support=1)
+        plan = select_k(fas, d, k=3, min_support=1)
         assert sorted(plan.selected_lengths) == [2, 3, 4]
         assert plan.coverage == pytest.approx(1.0)
         assert sorted(plan.ranks.values()) == [0, 1, 2]
 
     def test_duplicate_arrays_prefer_distant_then_support(self):
         # lengths 2 and 4 share identical frequency arrays; length 6 is far
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 4: [[0, 1, 0, 1]] * 3, 6: [[2] * 6] * 2,
         })
-        plan = select_k(groups, fas, d, k=2, min_support=1)
+        plan = select_k(fas, d, k=2, min_support=1)
         assert plan.selected_lengths == [2, 6]
 
     def test_seeded_at_distant_group_picks_higher_support_duplicate(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 4: [[0, 1, 0, 1]] * 3, 6: [[2] * 6] * 9,
         })
-        plan = select_k(groups, fas, d, k=2, min_support=1)
+        plan = select_k(fas, d, k=2, min_support=1)
         assert plan.selected_lengths == [6, 2]
 
     def test_long_tail_corpus_selects_short_and_long(self):
@@ -171,49 +171,49 @@ class TestSelectK:
                 i += 1
         groups = group_by_length(sessions)
         fas = [frequency_array(seqs, 3) for _, seqs in groups]
-        plan = select_k(groups, fas, dissimilarity_matrix(fas), k=6, min_support=10)
+        plan = select_k(fas, dissimilarity_matrix(fas), k=6, min_support=10)
         assert any(length < 20 for length in plan.selected_lengths)
         assert any(length > 100 for length in plan.selected_lengths)
 
     def test_too_few_eligible_groups(self):
-        groups, fas, d = _plan_inputs({2: [[0, 1]] * 3, 3: [[0, 1, 2]] * 2})
+        fas, d = _plan_inputs({2: [[0, 1]] * 3, 3: [[0, 1, 2]] * 2})
         with pytest.raises(SelectionError) as err:
-            select_k(groups, fas, d, k=2, min_support=3)
+            select_k(fas, d, k=2, min_support=3)
         assert err.value.eligible == 1
 
     def test_warns_on_large_k(self):
         lists = {length: [[0, 1] * (length // 2)] * 2 for length in range(2, 110, 2)}
-        groups, fas, d = _plan_inputs(lists)
+        fas, d = _plan_inputs(lists)
         with pytest.warns(UserWarning):
-            select_k(groups, fas, d, k=51, min_support=1)
+            select_k(fas, d, k=51, min_support=1)
 
     def test_coverage_monotone_in_k(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 3: [[2, 2, 0]] * 4, 4: [[1, 1, 2, 0]] * 3,
             5: [[0] * 5] * 2,
         })
         coverages = [
-            select_k(groups, fas, d, k=k, min_support=1).coverage
+            select_k(fas, d, k=k, min_support=1).coverage
             for k in (1, 2, 3, 4)
         ]
         assert all(b >= a for a, b in zip(coverages, coverages[1:]))
 
     def test_selection_order_is_nested_prefix(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 3: [[2, 2, 0]] * 4, 4: [[1, 1, 2, 0]] * 3,
             5: [[0] * 5] * 2,
         })
-        full = select_k(groups, fas, d, k=4, min_support=1).selected_lengths
+        full = select_k(fas, d, k=4, min_support=1).selected_lengths
         for k in (1, 2, 3):
-            partial = select_k(groups, fas, d, k=k, min_support=1).selected_lengths
+            partial = select_k(fas, d, k=k, min_support=1).selected_lengths
             assert partial == full[:k]
 
     def test_selected_groups_pairwise_distinct_when_possible(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 3: [[2, 2, 0]] * 4, 4: [[1, 1, 2, 0]] * 3,
             5: [[0] * 5] * 2,
         })
-        plan = select_k(groups, fas, d, k=3, min_support=1)
+        plan = select_k(fas, d, k=3, min_support=1)
         pos = {fa.length_key: i for i, fa in enumerate(fas)}
         chosen = [pos[length] for length in plan.selected_lengths]
         for a in chosen:
@@ -296,10 +296,10 @@ class TestProject2D:
 
 class TestPlanReport:
     def test_report_contains_projection_and_coverage(self):
-        groups, fas, d = _plan_inputs({
+        fas, d = _plan_inputs({
             2: [[0, 1]] * 5, 3: [[2, 2, 0]] * 4, 4: [[1, 1, 2, 0]] * 3,
         })
-        plan = select_k(groups, fas, d, k=2, min_support=1)
+        plan = select_k(fas, d, k=2, min_support=1)
         doc = plan_to_doc(plan)
         assert doc["schema"] == "fhmm-plan/1"
         assert doc["selected_lengths"] == plan.selected_lengths
