@@ -93,6 +93,14 @@ def _small_config(**overrides):
     return RunConfig(**base)
 
 
+def _common_lengths(sessions, n=5):
+    """The n lengths that the most sessions have."""
+    counts: dict[int, int] = {}
+    for s in sessions:
+        counts[len(s)] = counts.get(len(s), 0) + 1
+    return sorted(counts, key=lambda length: -counts[length])[:n]
+
+
 # Trains in parallel under the spawn start method, whose workers inherit no
 # module state from the parent: argv[1] holds the sessions and the config.
 SPAWN_TRAIN = """
@@ -229,38 +237,32 @@ class TestFitSelected:
         monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
         sessions = _small_corpus(seed=4, n=300).sessions
         held_out = _small_corpus(seed=6, n=120).sessions
-        counts: dict[int, int] = {}
-        for s in sessions:
-            counts[len(s)] = counts.get(len(s), 0) + 1
-        lengths = sorted(counts, key=lambda length: -counts[length])[:5]
-        # 300 symbols take uint16 predictions, 6 take uint8
-        for n_obs, dtype in [(6, np.uint8), (300, np.uint16)]:
-            config = _small_config(max_iters=30, n_obs=n_obs, stride=2)
-            want, want_preds, _ = ensemble._fit_selected(
-                sessions, lengths, config, [sessions, held_out]
-            )
-            got, preds, _ = ensemble._fit_selected(
-                sessions, lengths,
-                dataclasses.replace(config, parallel=True, workers=workers),
-                [sessions, held_out],
-            )
-            assert [row[0] for row in got] == lengths
-            for (_, model, *fit), (_, ref, *ref_fit) in zip(got, want):
-                assert fit == ref_fit
-                for name in ("A", "B", "pi"):
-                    np.testing.assert_array_equal(
-                        getattr(model, name), getattr(ref, name)
-                    )
-            refs = [ref for _, ref, _, _ in want]
-            for seqs, got_preds, one_pass in zip(
-                [sessions, held_out], preds, want_preds
-            ):
-                ref_preds, _, _ = stage2_arrays(
-                    refs, seqs, config.stride, max(len(s) for s in seqs)
+        lengths = _common_lengths(sessions)
+        config = _small_config(max_iters=30, stride=2)
+        want, want_preds, _ = ensemble._fit_selected(
+            sessions, lengths, config, [sessions, held_out]
+        )
+        got, preds, _ = ensemble._fit_selected(
+            sessions, lengths,
+            dataclasses.replace(config, parallel=True, workers=workers),
+            [sessions, held_out],
+        )
+        assert [row[0] for row in got] == lengths
+        for (_, model, *fit), (_, ref, *ref_fit) in zip(got, want):
+            assert fit == ref_fit
+            for name in ("A", "B", "pi"):
+                np.testing.assert_array_equal(
+                    getattr(model, name), getattr(ref, name)
                 )
-                assert got_preds.dtype == one_pass.dtype == dtype
-                np.testing.assert_array_equal(one_pass, ref_preds)
-                np.testing.assert_array_equal(got_preds, ref_preds)
+        refs = [ref for _, ref, _, _ in want]
+        for seqs, got_preds, one_pass in zip(
+            [sessions, held_out], preds, want_preds
+        ):
+            ref_preds, _, _ = stage2_arrays(
+                refs, seqs, config.stride, max(len(s) for s in seqs)
+            )
+            np.testing.assert_array_equal(one_pass, ref_preds)
+            np.testing.assert_array_equal(got_preds, ref_preds)
 
 
 class TestCollectStage2:
@@ -309,6 +311,29 @@ class TestCollectStage2:
     def test_short_sessions_rejected(self):
         with pytest.raises(DomainError):
             stage2_arrays([_cycle_model([0, 1])], [make_seq([0])], 1, 1)
+
+    @pytest.mark.parametrize("n_obs, dtype", [(6, np.uint8), (300, np.uint16)])
+    def test_parallel_matches_sequential_dtype_and_values(
+        self, n_obs, dtype, monkeypatch
+    ):
+        # the parallel route predicts inside the fit task; its matrices
+        # must equal the sequential stage2_arrays of the models it fitted
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
+        sessions = _small_corpus(seed=4, n=300).sessions
+        held_out = _small_corpus(seed=6, n=120).sessions
+        config = _small_config(
+            max_iters=30, n_obs=n_obs, stride=2, parallel=True, workers=3
+        )
+        got, preds, _ = ensemble._fit_selected(
+            sessions, _common_lengths(sessions), config, [sessions, held_out]
+        )
+        models = [model for _, model, _, _ in got]
+        for seqs, got_preds in zip([sessions, held_out], preds):
+            want, _, _ = stage2_arrays(
+                models, seqs, config.stride, max(len(s) for s in seqs)
+            )
+            assert got_preds.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got_preds, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
