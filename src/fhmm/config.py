@@ -26,7 +26,6 @@ class RunConfig:
     l2: float = 1e-4
     epochs: int = 50
     batch: int = 32
-    loss: str = "quadratic"
     base_seed: int = 0
     parallel: bool = False
     workers: int = 0
@@ -47,8 +46,6 @@ class RunConfig:
             (self.l2 >= 0, "l2 must be non-negative"),
             (self.epochs >= 1, "epochs must be at least 1"),
             (self.batch >= 1, "batch must be at least 1"),
-            (self.loss in ("quadratic", "cross_entropy"),
-             "loss must be quadratic or cross_entropy"),
             (self.workers >= 0, "workers must be non-negative"),
             (self.stride >= 1, "stride must be at least 1"),
             (0.0 < self.train_frac < 1.0, "train_frac must lie in (0, 1)"),
@@ -74,11 +71,7 @@ def _convert(name: str, text: str, target_type: type):
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        return target_type(text)
     except ValueError as exc:
         raise ConfigError(
             f"config key {name!r}: cannot parse {text!r} as {target_type.__name__}"
@@ -88,7 +81,7 @@ def _convert(name: str, text: str, target_type: type):
 def parse_config_text(text: str) -> RunConfig:
     """`key = value` lines; # starts a comment; unknown keys rejected."""
     known = {f.name: f.type for f in fields(RunConfig)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
+    types = {"int": int, "float": float, "bool": bool}
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -77,7 +77,7 @@ class EnsembleModel:
         return len(self.plan.selected_lengths)
 
     @cached_property
-    def stacks(self) -> list[ModelStack]:
+    def stack(self) -> ModelStack:
         """The selected models, stacked once for `predict`."""
         return stack_models(
             [self.models[length] for length in self.selected_lengths]
@@ -112,14 +112,12 @@ def default_alphabet(n_obs: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _stage2_meta(sessions, stride, max_len):
-    """offsets, counts and targets arrays for the canonical point order.
+    """counts and targets arrays for the canonical point order.
 
     Per session only a slice is taken: the targets are the sessions'
-    strided symbols, joined, and each point's position comes from the
-    offsets.
+    strided symbols, joined, and each point's position comes from
+    `point_offsets`.
     """
-    if stride < 1:
-        raise DomainError("stride must be at least 1")
     offsets = point_offsets([len(s) for s in sessions], stride)
     # the empty leading part makes no sessions give an empty int64 array
     targets = np.concatenate(
@@ -135,7 +133,7 @@ def _stage2_meta(sessions, stride, max_len):
     pos += 1
     counts = pos / max_len
     np.minimum(counts, 1.0, out=counts)
-    return offsets, counts, targets
+    return counts, targets
 
 
 def _check_stage2(sessions, stride):
@@ -320,7 +318,7 @@ def train_ensemble(
 
     t0 = time.perf_counter()
     max_len = max(len(s) for s in sessions)
-    _, counts, targets = _stage2_meta(sessions, config.stride, max_len)
+    counts, targets = _stage2_meta(sessions, config.stride, max_len)
     timings["stage2"] = predict_time + time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -351,7 +349,6 @@ def _hyper(config: RunConfig) -> FusionHyper:
         epochs=config.epochs,
         batch=config.batch,
         seed=config.base_seed,
-        loss=config.loss,
     )
 
 
@@ -367,7 +364,7 @@ def stage2_arrays(
     symbols, one byte per point and model.
     """
     _check_stage2(sessions, stride)
-    _, counts, targets = _stage2_meta(sessions, stride, max_len)
+    counts, targets = _stage2_meta(sessions, stride, max_len)
     preds = predict_points(models, [s.symbols for s in sessions], stride)
     return preds, counts, targets
 
@@ -378,7 +375,7 @@ def stage2_arrays(
 
 def predict(model: EnsembleModel, prefix: StateSequence) -> EnsemblePrediction:
     """Fused next-state prediction with per-model diagnostics."""
-    preds = predict_next_all(model.stacks, prefix)
+    preds = predict_next_all(model.stack, prefix)
     per_model = {
         length: int(symbol)
         for length, symbol in zip(model.selected_lengths, preds)
@@ -423,10 +420,12 @@ def evaluate(
 
     `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or an
     array of externally produced predictions aligned to the canonical point
-    order; any other type raises DomainError.
+    order; any other type raises DomainError, and so do a session shorter
+    than 2 and an external prediction outside [0, n_obs).
     """
     if not sessions:
         raise DomainError("need at least one test session")
+    _check_stage2(sessions, stride)
     per_model_accuracy = None
 
     t0 = time.perf_counter()
@@ -440,7 +439,7 @@ def evaluate(
         }
         n_obs = predictor.n_obs
     else:
-        _, _, targets = _stage2_meta(
+        _, targets = _stage2_meta(
             sessions, stride, max(len(s) for s in sessions)
         )
         if isinstance(predictor, HmmModel):
@@ -462,6 +461,11 @@ def evaluate(
             predictions = predictor.astype(np.int64)
             if n_obs is None:
                 n_obs = int(max(predictions.max(), targets.max())) + 1
+            if predictions.min() < 0 or predictions.max() >= n_obs:
+                raise DomainError(
+                    f"external prediction outside the {n_obs} symbols "
+                    f"0..{n_obs - 1}"
+                )
         else:
             raise DomainError(
                 f"unsupported predictor type {type(predictor)!r}"
@@ -552,10 +556,8 @@ def sweep_k(
         train, plan.selected_lengths, config, [train, test]
     )
     max_len = max(len(s) for s in train)
-    _, train_counts, train_targets = _stage2_meta(
-        train, config.stride, max_len
-    )
-    _, test_counts, test_targets = _stage2_meta(test, config.stride, max_len)
+    train_counts, train_targets = _stage2_meta(train, config.stride, max_len)
+    test_counts, test_targets = _stage2_meta(test, config.stride, max_len)
 
     curve = []
     for k in ks:
@@ -658,18 +660,26 @@ def _check_fusion_shapes(fusion: FusionNetwork, k: int, n_obs: int) -> None:
 
 
 def load_ensemble(model_dir: str | Path) -> EnsembleModel:
-    """The model saved in `model_dir`.  A missing field, or a file that
-    disagrees with ensemble.json's k and n_obs, raises DomainError naming
-    the file."""
+    """The model saved in `model_dir`.  A missing field, a file that
+    disagrees with ensemble.json's k and n_obs, or an HMM whose n_hidden
+    differs from the first selected one's raises DomainError naming the
+    file."""
     root = Path(model_dir)
     meta = _read_checked(root / "ensemble.json", _meta_from_doc)
     selected, n_obs = meta["selected_lengths"], meta["n_obs"]
+    models: dict[int, HmmModel] = {}
 
     def hmm_from_doc(doc):
         model = model_from_doc(doc)
         if model.n_obs != n_obs:
             raise DomainError(
                 f"field 'n_obs' is {model.n_obs}, the ensemble's is {n_obs}"
+            )
+        first = next(iter(models.values()), model)
+        if model.n_hidden != first.n_hidden:
+            raise DomainError(
+                f"field 'n_hidden' is {model.n_hidden}, "
+                f"hmm_{selected[0]}.json's is {first.n_hidden}"
             )
         return model
 
@@ -678,10 +688,10 @@ def load_ensemble(model_dir: str | Path) -> EnsembleModel:
         _check_fusion_shapes(fusion, len(selected), n_obs)
         return fusion
 
-    models = {
-        length: _read_checked(root / f"hmm_{length}.json", hmm_from_doc)
-        for length in selected
-    }
+    for length in selected:
+        models[length] = _read_checked(
+            root / f"hmm_{length}.json", hmm_from_doc
+        )
     return EnsembleModel(
         plan=_read_checked(
             root / "plan.json", lambda doc: _plan_from_doc(doc, selected)

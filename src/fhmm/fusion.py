@@ -1,10 +1,9 @@
 """Single-hidden-layer network fusing per-model predictions into one.
 
 Inputs are the K individual next-state predictions (one-hot encoded) plus a
-normalized time-step feature.  The hidden layer is ReLU; the default output
-is linear trained under the quadratic cost with L2 regularization on the two
-weight matrices.  A softmax/cross-entropy mode is available as a configured
-alternative.
+normalized time-step feature.  The hidden layer is ReLU and the output
+linear, trained under the quadratic cost with L2 regularization on the two
+weight matrices.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 
 from .errors import DomainError, TrainingDivergedError
 from . import serialize
-
-LOSS_QUADRATIC = "quadratic"
-LOSS_CROSS_ENTROPY = "cross_entropy"
 
 
 @dataclass
@@ -39,7 +35,6 @@ class FusionHyper:
     epochs: int = 50
     batch: int = 32
     seed: int = 0
-    loss: str = LOSS_QUADRATIC
 
     def validate(self) -> None:
         if self.hidden_width < 1:
@@ -50,8 +45,6 @@ class FusionHyper:
             raise DomainError("l2 must be non-negative")
         if self.epochs < 1 or self.batch < 1:
             raise DomainError("epochs and batch must be at least 1")
-        if self.loss not in (LOSS_QUADRATIC, LOSS_CROSS_ENTROPY):
-            raise DomainError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -62,7 +55,6 @@ class FusionNetwork:
     b: np.ndarray         # output bias, (M,)
     l2: float
     lr: float
-    loss: str = LOSS_QUADRATIC
 
     @property
     def hidden_width(self) -> int:
@@ -201,7 +193,6 @@ def init_network(
         b=np.zeros(n_obs),
         l2=hyper.l2,
         lr=hyper.lr,
-        loss=hyper.loss,
     )
 
 
@@ -264,19 +255,11 @@ def fused_predictions(
     return out
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cost_and_gradients(
     net: FusionNetwork, X: np.ndarray, Y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Cost and analytic gradients for a batch.
-
-    Quadratic mode: C = (1/2n) sum ||y - out||^2 + (l2/2)(||W||^2 + ||w||^2).
-    Cross-entropy mode replaces the data term with -mean log softmax(out)[y].
+    """Cost and analytic gradients for a batch:
+    C = (1/2n) sum ||y - out||^2 + (l2/2)(||W||^2 + ||w||^2).
     """
     return _cost_and_gradients(net, X, Y, slice(None))
 
@@ -292,14 +275,9 @@ def _cost_and_gradients(net: FusionNetwork, X: np.ndarray, Y: np.ndarray,
         z = X @ net.W[cols] + net.c
         hidden = np.maximum(0.0, z)
         out = hidden @ net.w + net.b
-        if net.loss == LOSS_QUADRATIC:
-            diff = out - Y
-            data_cost = float((diff ** 2).sum()) / (2.0 * n)
-            dout = diff / n
-        else:
-            p = _softmax(out)
-            data_cost = float(-(Y * np.log(p + 1e-300)).sum()) / n
-            dout = (p - Y) / n
+        diff = out - Y
+        data_cost = float((diff ** 2).sum()) / (2.0 * n)
+        dout = diff / n
         cost = data_cost + 0.5 * net.l2 * (
             float((net.W ** 2).sum()) + float((net.w ** 2).sum())
         )
@@ -457,7 +435,6 @@ FUSION_SCHEMA = "fhmm-fusion/1"
 def fusion_to_doc(net: FusionNetwork) -> dict:
     return {
         "schema": FUSION_SCHEMA,
-        "loss": net.loss,
         "l2": serialize.fmt_float(net.l2),
         "lr": serialize.fmt_float(net.lr),
         "W": serialize.array_to_doc(net.W),
@@ -468,6 +445,8 @@ def fusion_to_doc(net: FusionNetwork) -> dict:
 
 
 def fusion_from_doc(doc: dict) -> FusionNetwork:
+    """The network in `doc`.  A "loss" key, which older files hold, is
+    ignored: scores never depended on it."""
     if doc.get("schema") != FUSION_SCHEMA:
         raise DomainError(f"unexpected fusion schema {doc.get('schema')!r}")
     return FusionNetwork(
@@ -477,5 +456,4 @@ def fusion_from_doc(doc: dict) -> FusionNetwork:
         b=serialize.array_from_doc(doc["b"]),
         l2=float(doc["l2"]),
         lr=float(doc["lr"]),
-        loss=doc["loss"],
     )

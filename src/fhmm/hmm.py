@@ -622,9 +622,9 @@ def point_offsets(lengths: np.ndarray, stride: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelStack:
-    """Models of one shape stacked for the stacked passes: A (K,N,N),
+    """K models of one shape stacked for the stacked passes: A (K,N,N),
     B (K,N,M), B transposed (K,M,N) and pi (K,N); B transposed gathers one
-    symbol's emissions as rows.  `cols` are the models' input indices.
+    symbol's emissions as rows.
 
     Entries below the smallest normal float are 0.0 in the stacks, so no
     product takes the slow subnormal path.  A subnormal term is below half
@@ -635,37 +635,35 @@ class ModelStack:
     reachable only through a subnormal entry raises DegenerateSequenceError
     in the stacked passes, where `predict_next` still predicts."""
 
-    cols: list[int]
     A: np.ndarray
     B: np.ndarray
     BT: np.ndarray
     pi: np.ndarray
 
 
-def stack_models(models: list[HmmModel]) -> list[ModelStack]:
-    """One ModelStack per (n_hidden, n_obs) shape among `models`, with
-    subnormal entries set to 0.0 in the stacked copies (see ModelStack);
-    the models' own arrays are left as they are."""
+def stack_models(models: list[HmmModel]) -> ModelStack:
+    """`models` stacked in input order, with subnormal entries set to 0.0 in
+    the stacked copies (see ModelStack); the models' own arrays are left as
+    they are.  Models of different (n_hidden, n_obs) raise DomainError."""
     if not models:
         raise DomainError("need at least one model")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, m in enumerate(models):
-        groups.setdefault((m.n_hidden, m.n_obs), []).append(k)
+    shapes = {(m.n_hidden, m.n_obs) for m in models}
+    if len(shapes) > 1:
+        raise DomainError(
+            f"models of different (n_hidden, n_obs) shapes: {sorted(shapes)}"
+        )
 
     def flushed(arrays):
         out = np.stack(arrays)
         out[out < _TINY] = 0.0
         return out
 
-    stacks = []
-    for cols in groups.values():
-        B = flushed([models[k].B for k in cols])
-        stacks.append(ModelStack(
-            cols, flushed([models[k].A for k in cols]), B,
-            np.ascontiguousarray(B.transpose(0, 2, 1)),
-            flushed([models[k].pi for k in cols]),
-        ))
-    return stacks
+    B = flushed([m.B for m in models])
+    return ModelStack(
+        flushed([m.A for m in models]), B,
+        np.ascontiguousarray(B.transpose(0, 2, 1)),
+        flushed([m.pi for m in models]),
+    )
 
 
 def _normalized(a: np.ndarray, t: int) -> np.ndarray:
@@ -730,10 +728,10 @@ def predict_points(
 
     Returns a (P, K) array of dtype `prediction_dtype(models)` in the order
     of `point_offsets`; entry [p, k] equals predict_next(models[k],
-    prefix)[0] for the prefix that point predicts after.  One scaled
-    forward pass runs all K models over all sequences at once (one pass per
-    model shape, if shapes differ): in the ragged layout Baum-Welch also
-    uses, the sequences still running at step t are the first rows, and
+    prefix)[0] for the prefix that point predicts after.  The models must
+    share one (n_hidden, n_obs) shape (see `stack_models`).  One scaled
+    forward pass runs all K models over all sequences at once: in the
+    ragged layout Baum-Welch also uses, the sequences still running at step t are the first rows, and
     the next-symbol argmax is taken only at stride points.  Besides the
     result, memory holds the layout (two int64 per symbol while it is
     built, one after) and working arrays of at most ROW_BLOCK sequences.
@@ -746,14 +744,14 @@ def predict_points(
     states bit for bit, and the next-symbol probabilities of all K models
     are one batched (K, rows, M) product.
 
-    The pass runs on `stack_models`' stacks, whose subnormal entries are
+    The pass runs on `stack_models`' stack, whose subnormal entries are
     0.0: a prefix that only a subnormal transition, start or emission
     probability makes possible raises `DegenerateSequenceError` at its step,
     where `predict_next` still predicts after it.
     """
     if stride < 1:
         raise DomainError("stride must be at least 1")
-    stacks = stack_models(models)
+    stack = stack_models(models)
     lengths = np.array([s.size for s in seqs], dtype=np.int64)
     if (lengths < 1).any():
         raise DomainError("a sequence needs at least one symbol")
@@ -766,55 +764,47 @@ def predict_points(
         layout.lengths, layout.running, layout.starts, layout.obs
     )
     first_point = offsets[layout.order]
-    for stack in stacks:
-        AT, B, pi = stack.A.transpose(0, 2, 1), stack.B, stack.pi
-        if obs.max() >= B.shape[2]:
-            raise DomainError(
-                f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
-            )
-        cols = np.array(stack.cols)
-        # blocks of rows bound the working arrays to (K, N, ROW_BLOCK)
-        for lo in range(0, len(seqs), ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, len(seqs))
-            a = _normalized_states(
-                pi[:, :, None] * np.take(B, obs[lo:hi], axis=2), 0
-            )
-            for t in range(1, int(ordered[lo])):
-                n = min(running[t], hi) - lo
-                # rebound at once: the previous alpha is freed before the
-                # (K, n, M) probabilities exist
-                a = AT @ a[:, :, :n]
-                if (t - 1) % stride == 0:
-                    rows = first_point[lo: lo + n] + (t - 1) // stride
-                    # (K, n, M) next-symbol probabilities, one batched product
-                    out[rows[:, None], cols] = np.argmax(
-                        np.matmul(a.transpose(0, 2, 1), B), axis=2
-                    ).T
-                # np.take lays the (K, N, n) emissions out as `a` is laid
-                # out; an index on the last axis would not, and multiplies
-                # slower
-                q = starts[t] + lo
-                a *= np.take(B, obs[q: q + n], axis=2)
-                _normalized_states(a, t)
+    AT, B, pi = stack.A.transpose(0, 2, 1), stack.B, stack.pi
+    if obs.max() >= B.shape[2]:
+        raise DomainError(
+            f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
+        )
+    # blocks of rows bound the working arrays to (K, N, ROW_BLOCK)
+    for lo in range(0, len(seqs), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(seqs))
+        a = _normalized_states(
+            pi[:, :, None] * np.take(B, obs[lo:hi], axis=2), 0
+        )
+        for t in range(1, int(ordered[lo])):
+            n = min(running[t], hi) - lo
+            # rebound at once: the previous alpha is freed before the
+            # (K, n, M) probabilities exist
+            a = AT @ a[:, :, :n]
+            if (t - 1) % stride == 0:
+                rows = first_point[lo: lo + n] + (t - 1) // stride
+                # (K, n, M) next-symbol probabilities, one batched product
+                out[rows] = np.argmax(
+                    np.matmul(a.transpose(0, 2, 1), B), axis=2
+                ).T
+            # np.take lays the (K, N, n) emissions out as `a` is laid out;
+            # an index on the last axis would not, and multiplies slower
+            q = starts[t] + lo
+            a *= np.take(B, obs[q: q + n], axis=2)
+            _normalized_states(a, t)
     return out
 
 
-def predict_next_all(
-    stacks: list[ModelStack], prefix: StateSequence
-) -> np.ndarray:
+def predict_next_all(stack: ModelStack, prefix: StateSequence) -> np.ndarray:
     """Each stacked model's predict_next symbol after `prefix`, as a (K,)
-    array in input order, from one forward pass per stack as in
-    `predict_points`.  Build `stacks` once with `stack_models`."""
-    out = np.empty(sum(len(stack.cols) for stack in stacks), dtype=np.int64)
-    for stack in stacks:
-        A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
-        check_symbols(prefix, B.shape[2])
-        obs = prefix.symbols
-        a = _normalized(pi * BT[:, obs[0]], 0)
-        for t in range(1, obs.size):
-            a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
-        out[stack.cols] = np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
-    return out
+    array in input order, from one forward pass as in
+    `predict_points`.  Build `stack` once with `stack_models`."""
+    A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
+    check_symbols(prefix, B.shape[2])
+    obs = prefix.symbols
+    a = _normalized(pi * BT[:, obs[0]], 0)
+    for t in range(1, obs.size):
+        a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
+    return np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
 
 
 # ---------------------------------------------------------------------------

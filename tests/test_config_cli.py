@@ -6,6 +6,7 @@ import pytest
 from fhmm.cli import main
 from fhmm.config import RunConfig, parse_config_text
 from fhmm.errors import ConfigError
+from fhmm.hmm import random_model, save_model
 from fhmm.ingest import read_sessions, render_cowrie_lines, write_sessions
 
 from conftest import make_seq
@@ -24,18 +25,22 @@ class TestConfigParsing:
         k = 6
         parallel = true
         lr = 0.05      # learning rate
-        loss = cross_entropy
+        stride = 3
         """
         config = parse_config_text(text)
         assert config.k == 6
         assert config.parallel is True
         assert config.lr == pytest.approx(0.05)
-        assert config.loss == "cross_entropy"
+        assert config.stride == 3
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("knn = 3")
         assert "knn" in str(err.value)
+        # the fusion cost is fixed; files that still set it fail by name
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("loss = quadratic")
+        assert "unknown config key 'loss'" in str(err.value)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -50,8 +55,6 @@ class TestConfigParsing:
             parse_config_text("train_frac = 1.5")
         with pytest.raises(ConfigError):
             parse_config_text("lr = 0")
-        with pytest.raises(ConfigError):
-            parse_config_text("loss = hinge")
 
     def test_to_doc_round_trips_all_fields(self):
         doc = RunConfig().to_doc()
@@ -223,6 +226,34 @@ class TestCli:
         assert (out / "confusion_fhmm.csv").exists()
         assert (out / "per_state_markov.csv").exists()
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_evaluate_external_out_of_range_exits_2(self, tmp_path,
+                                                     small_sessions_file,
+                                                     config_file, capsys, bad):
+        model_dir = tmp_path / "model"
+        main([
+            "train", "--sessions", str(small_sessions_file),
+            "--out", str(model_dir), "--config", str(config_file),
+        ])
+        # the perfect predictions of the alternating corpus, one of them
+        # outside the two symbols of config_file
+        sessions = read_sessions(small_sessions_file)
+        external = np.concatenate([s.symbols[1:] for s in sessions])
+        external[5] = bad
+        ext_path = tmp_path / "external.txt"
+        np.savetxt(ext_path, external, fmt="%d")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--model", str(model_dir),
+            "--sessions", str(small_sessions_file),
+            "--out", str(tmp_path / "rep"), "--config", str(config_file),
+            "--external", str(ext_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: external prediction outside")
+        assert "Traceback" not in err
+
     def test_evaluate_baselines_require_train_sessions(self, tmp_path,
                                                        small_sessions_file,
                                                        config_file):
@@ -348,3 +379,19 @@ class TestLoadValidation:
         code, err = self._predict_error(model_dir, capsys)
         assert code == 2
         assert path.name in err and "n_obs" in err
+
+    def test_hmm_hidden_state_mismatch_exits_2(self, tmp_path,
+                                               small_sessions_file,
+                                               config_file, capsys):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        first, second = json.loads(
+            (model_dir / "ensemble.json").read_text()
+        )["selected_lengths"]
+        # a valid two-state model beside the three-state models of
+        # config_file
+        path = model_dir / f"hmm_{second}.json"
+        save_model(random_model(2, 2, seed=0), path)
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert path.name in err and "n_hidden" in err
+        assert f"hmm_{first}.json" in err

@@ -299,7 +299,9 @@ class TestCollectStage2:
         np.testing.assert_array_equal(counts_got, counts_expected)
 
     def test_preds_match_predict_next(self):
-        models = [_cycle_model([0, 1]), _cycle_model([3, 4, 5])]
+        # rings of periods 2 and 3, written out on six states each, so that
+        # the models share one shape
+        models = [_cycle_model([0, 1] * 3), _cycle_model([3, 4, 5] * 2)]
         sessions = [make_seq([0, 1, 0, 1, 0], "x")]
         preds, _, _ = stage2_arrays(models, sessions, 1, 5)
         for t, row in enumerate(preds, start=1):
@@ -347,18 +349,13 @@ class TestCollectStage2:
     ):
         rng = np.random.default_rng(seed)
         sessions = [make_seq(rng.integers(0, 7, size=n)) for n in lengths]
-        offsets, counts, targets = ensemble._stage2_meta(
-            sessions, stride, max_len
-        )
+        counts, targets = ensemble._stage2_meta(sessions, stride, max_len)
         # one session at a time, the positions each point predicts
         want_counts, want_targets = [], []
         for s in sessions:
             pos = np.arange(1, len(s), stride)
             want_counts.append(np.minimum(pos / max_len, 1.0))
             want_targets.append(s.symbols[pos])
-        np.testing.assert_array_equal(
-            offsets, np.cumsum([0] + [c.size for c in want_counts])
-        )
         want_counts = np.concatenate([np.empty(0)] + want_counts)
         want_targets = np.concatenate(
             [np.empty(0, dtype=np.int64)] + want_targets
@@ -496,6 +493,33 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(np.array([1, 0]), sessions, stride=1, n_obs=2)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_external_predictions_outside_the_alphabet(self, bad):
+        sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
+        external = np.array([1, bad, 0])
+        with pytest.raises(DomainError, match="external prediction outside"):
+            evaluate(external, sessions, stride=1, n_obs=2)
+        if bad < 0:
+            # an alphabet inferred from the data does not admit -1 either
+            with pytest.raises(DomainError, match="outside"):
+                evaluate(external, sessions, stride=1)
+
+    @pytest.mark.parametrize("kind", ["ensemble", "hmm", "markov", "external"])
+    def test_length_one_session_rejected(self, small_ensemble, kind):
+        corpus, _, model = small_ensemble
+        predictor = {
+            "ensemble": model,
+            "hmm": model.models[model.selected_lengths[0]],
+            "markov": fit_markov(corpus.sessions, n_obs=6, smoothing=1.0),
+            # no point falls in a session of length 1
+            "external": np.zeros(2, dtype=np.int64),
+        }[kind]
+        sessions = [make_seq([0, 1, 0], "x"), make_seq([3], "y")]
+        with pytest.raises(DomainError, match="length of at least 2"):
+            evaluate(predictor, sessions, stride=1, n_obs=6)
+        with pytest.raises(DomainError, match="length of at least 2"):
+            evaluate(predictor, [make_seq([3], "y")], stride=1, n_obs=6)
+
     @pytest.mark.parametrize("predictor", [lambda prefix: 0, [1, 0, 0]])
     def test_unsupported_predictor_rejected(self, predictor):
         sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
@@ -524,8 +548,9 @@ class TestPredictionCorrelation:
         np.testing.assert_array_equal(corr, np.ones((2, 2)))
 
     def test_disjoint_generators_zero_agreement(self):
-        a = _cycle_model([0, 1])
-        b = _cycle_model([3, 4, 5])
+        # rings of periods 2 and 3 on six states each (one shape)
+        a = _cycle_model([0, 1] * 3)
+        b = _cycle_model([3, 4, 5] * 2)
         sessions = [make_seq([0, 1, 0, 1, 0, 1], f"s{i}") for i in range(5)]
         corr = prediction_correlation([a, b], sessions)
         assert corr[0, 1] == 0.0
@@ -536,7 +561,11 @@ class TestPredictionCorrelation:
         sessions = [
             make_seq(rng.integers(0, 6, size=9), f"s{i}") for i in range(12)
         ]
-        models = [_cycle_model([0, 1]), _cycle_model([1, 2]), _cycle_model([3, 4, 5])]
+        # rings of periods 2, 2 and 3 on six states each (one shape)
+        models = [
+            _cycle_model([0, 1] * 3), _cycle_model([1, 2] * 3),
+            _cycle_model([3, 4, 5] * 2),
+        ]
         corr = prediction_correlation(models, sessions)
         np.testing.assert_array_equal(corr, corr.T)
         np.testing.assert_array_equal(np.diag(corr), np.ones(3))
@@ -622,6 +651,39 @@ class TestSerializationAndReports:
             assert (tmp_path / "model" / name).read_bytes() == (
                 tmp_path / "model2" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
+    def test_fusion_file_with_a_loss_key_loads(self, small_ensemble,
+                                               tmp_path, loss):
+        # older directories name the fusion cost in fusion.json; forward
+        # scores never read it
+        corpus, _, model = small_ensemble
+        save_ensemble(model, tmp_path / "model")
+        path = tmp_path / "model" / "fusion.json"
+        new = path.read_text()
+        old = json.dumps(
+            {**json.loads(new), "loss": loss}, indent=2, sort_keys=True
+        ) + "\n"
+        assert len(old) - len(new) == len(f'  "loss": "{loss}",\n')
+        path.write_text(old)
+        loaded = load_ensemble(tmp_path / "model")
+        for name in ("W", "c", "w", "b"):
+            assert getattr(loaded.fusion, name).tobytes() == getattr(
+                model.fusion, name
+            ).tobytes()
+        for prefix in ([3, 4, 5], [0, 1], [0, 1, 0, 1, 0]):
+            a = predict(model, make_seq(prefix))
+            b = predict(loaded, make_seq(prefix))
+            assert a.symbol == b.symbol
+            assert a.scores.tobytes() == b.scores.tobytes()
+        sessions = corpus.sessions[:60]
+        np.testing.assert_array_equal(
+            _fused_point_predictions(loaded, sessions, 1)[0],
+            _fused_point_predictions(model, sessions, 1)[0],
+        )
+        # saved again, the key is gone and the bytes are today's
+        save_ensemble(loaded, tmp_path / "again")
+        assert (tmp_path / "again" / "fusion.json").read_text() == new
 
     def test_report_docs_and_csvs(self, small_ensemble, tmp_path):
         corpus, _, model = small_ensemble

@@ -140,10 +140,10 @@ class TestForward:
             forward(net, np.zeros(4))
 
 
-def _random_case(seed, loss="quadratic"):
+def _random_case(seed):
     rng = np.random.default_rng(seed)
     k, m, h = 2, 3, 4
-    hyper = FusionHyper(hidden_width=h, seed=seed, l2=1e-3, loss=loss)
+    hyper = FusionHyper(hidden_width=h, seed=seed, l2=1e-3)
     net = init_network(k * m + 1, m, hyper)
     X = rng.random((3, k * m + 1))
     Y = oracles.one_hot_targets(rng.integers(0, m, size=3), m)
@@ -151,11 +151,10 @@ def _random_case(seed, loss="quadratic"):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
-    def test_backprop_matches_finite_differences(self, loss):
+    def test_backprop_matches_finite_differences(self):
         eps = 1e-5
         for case in range(20):
-            net, X, Y = _random_case(1000 + case, loss)
+            net, X, Y = _random_case(1000 + case)
             _, grads = cost_and_gradients(net, X, Y)
             max_rel = 0.0
             for name in ("W", "c", "w", "b"):
@@ -284,11 +283,10 @@ def _dense_reference(X, Y, hyper):
 
 
 class TestPointsEntry:
-    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
-    def test_bit_identical_to_the_dense_matrix(self, loss):
+    def test_bit_identical_to_the_dense_matrix(self):
         preds, counts, targets = _points(4, 1000, 5, 6)  # 1000 = 15*64 + 40
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
-                            batch=64, seed=7, loss=loss)
+                            batch=64, seed=7)
         X = encode_batch(preds, counts, 6)
         Y = oracles.one_hot_targets(targets, 6)
         ref, ref_trace = _dense_reference(X, Y, hyper)
@@ -383,11 +381,10 @@ class TestCompactColumns:
     HYPER = dict(hidden_width=9, lr=0.2, l2=1e-3, epochs=3, batch=64, seed=7)
 
     @pytest.mark.parametrize("zero_counts", [False, True])
-    @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
-    def test_points_and_arrays_entries_agree(self, loss, zero_counts):
+    def test_points_and_arrays_entries_agree(self, zero_counts):
         preds, counts, targets = _sparse_points(4, 1000, self.K, self.M,
                                                 zero_counts)
-        hyper = FusionHyper(**self.HYPER, loss=loss)
+        hyper = FusionHyper(**self.HYPER)
         X = encode_batch(preds, counts, self.M)
         set_cols = np.flatnonzero(X.any(axis=0))
         assert set_cols.size <= self.K * 3 + 1
@@ -482,5 +479,4 @@ class TestSerialization:
         back = fusion_from_doc(doc)
         for name in ("W", "c", "w", "b"):
             assert np.array_equal(getattr(net, name), getattr(back, name))
-        assert back.loss == net.loss
         assert back.l2 == net.l2

@@ -285,7 +285,7 @@ class TestEStep:
             for t, size in shapes
         ]
         models = [random_model(n, m, seed=seed + g) for g in range(len(groups))]
-        stack = stack_models(models)[0]
+        stack = stack_models(models)
         gp = hmm._GroupPass(
             hmm._ragged([s for g in groups for s in g]),
             [len(g) for g in groups], stack.A, m,
@@ -572,19 +572,23 @@ class TestPredictPoints:
             predict_next_all(stack_models([model]), StateSequence(seqs[1]))
 
     def test_models_of_different_shapes(self):
-        models = [random_model(n, m, seed)
-                  for seed, (n, m) in enumerate([(2, 3), (3, 4), (2, 3)])]
         seqs = [np.array([0, 1, 2, 1]), np.array([2, 0])]
-        got = predict_points(models, seqs)
-        for k, m in enumerate(models):
-            np.testing.assert_array_equal(
-                got[:, k], predict_points([m], seqs)[:, 0]
-            )
         prefix = StateSequence(seqs[0])
-        np.testing.assert_array_equal(
-            predict_next_all(stack_models(models), prefix),
-            [predict_next(m, prefix)[0] for m in models],
-        )
+        # n_hidden differs, then n_obs
+        for shapes in ([(2, 3), (3, 3), (2, 3)], [(2, 3), (2, 4)]):
+            models = [random_model(n, m, seed)
+                      for seed, (n, m) in enumerate(shapes)]
+            with pytest.raises(DomainError, match="different"):
+                stack_models(models)
+            with pytest.raises(DomainError, match="different"):
+                predict_points(models, seqs)
+            # the models of each shape stack and predict
+            for shape in set(shapes):
+                alike = [m for m, sh in zip(models, shapes) if sh == shape]
+                np.testing.assert_array_equal(
+                    predict_next_all(stack_models(alike), prefix),
+                    [predict_next(m, prefix)[0] for m in alike],
+                )
 
     def test_narrowest_dtype_that_holds_every_symbol(self):
         rng = np.random.default_rng(8)
@@ -603,8 +607,10 @@ class TestPredictPoints:
                 np.testing.assert_array_equal(
                     got[offsets[i] + t - 1], expected
                 )
-        small = [random_model(3, 19, seed=3), random_model(2, 256, seed=4)]
-        assert predict_points(small, [s % 19 for s in seqs]).dtype == np.uint8
+        for n_obs in (19, 256):
+            small = [random_model(3, n_obs, seed=s) for s in (3, 4)]
+            got = predict_points(small, [s % 19 for s in seqs])
+            assert got.dtype == np.uint8
 
     def test_memory_is_the_result_plus_the_layout(self):
         # the (P, K) result at one byte per entry; the layout and the
@@ -652,10 +658,12 @@ class TestPredictPoints:
             "import numpy as np\n"
             "from fhmm.hmm import predict_points, random_model\n"
             "rng = np.random.default_rng(3)\n"
-            "models = [random_model(n, 19, seed=n) for n in (32, 10, 32)]\n"
             "seqs = [rng.integers(0, 19, size=t)\n"
             "        for t in rng.integers(2, 30, size=1500)]\n"
-            "sys.stdout.buffer.write(predict_points(models, seqs).tobytes())\n"
+            "for n, seeds in ((32, (32, 33)), (10, (10,))):\n"
+            "    models = [random_model(n, 19, seed=s) for s in seeds]\n"
+            "    got = predict_points(models, seqs).tobytes()\n"
+            "    sys.stdout.buffer.write(got)\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -683,7 +691,7 @@ class TestPredictPoints:
         models[1].B[0, 0] = tiny
         models[1].pi[0] = tiny
         before = [(m.A.copy(), m.B.copy(), m.pi.copy()) for m in models]
-        (stack,) = stack_models(models)
+        stack = stack_models(models)
         for arr in (stack.A, stack.B, stack.BT, stack.pi):
             assert not ((arr > 0.0) & (arr < tiny)).any()
         assert stack.A[0, 1, 2] == stack.B[1, 0, 0] == stack.pi[1, 0] == tiny
