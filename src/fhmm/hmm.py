@@ -38,6 +38,9 @@ ROW_BLOCK = 1024
 # Symbols per block of the Baum-Welch E-step (see _em_blocks), which bounds
 # its stored (symbols, N) alpha; closed only where the length changes
 BLOCK_SYMBOLS = 32768
+# Alpha entries per np.add.at call of the E-step's emission counts, which
+# bounds their flat index of bins and numpy's working copy of it
+COUNT_ENTRIES = 16384
 # The smallest normal float64; anything positive below it is subnormal
 _TINY = np.finfo(np.float64).tiny
 
@@ -432,40 +435,47 @@ class _GroupPass:
                 for g, lo, hi in spans
             ]))
 
-    def _emissions(self, BT: np.ndarray, t: int, out: np.ndarray):
-        """The emissions of the rows running at step t, gathered into the
-        leading rows of `out`: one step at a time, so no gather of the whole
-        layout exists."""
-        q, n = self.starts[t], self.counts[t]
-        # "clip" writes straight into `out`; "raise" would buffer the copy
-        return np.take(
-            BT, self.emission_rows[q: q + n], axis=0, out=out[:n], mode="clip"
-        )
-
     def e_step(self, B: np.ndarray, pi: np.ndarray):
         """Every group's EM statistics, with a leading group axis, and
         log-likelihood.
 
         The forward pass stores alpha time-major for the rows still running
-        (no padding).  The backward pass walks t downward, starts beta at
-        scale[t] for the rows that end at step t, overwrites alpha with
-        gamma and accumulates the expected transitions.
+        (no padding), gathering each step's emissions as rows of the stacked
+        B.T straight into a row buffer, so no gather of the whole layout
+        exists.  A zero row sum shows as an infinite scale factor: the pass
+        runs with those warnings off, and the first such factor raises
+        DegenerateSequenceError at its step before the backward pass.  The
+        backward pass walks t downward, starts beta at scale[t] for the rows
+        that end at step t, overwrites alpha with gamma and accumulates the
+        expected transitions.
         """
         G, N, M = B.shape
-        A, alpha, scale = self.A, self.alpha, self.scale
+        A, alpha, scale, rows = self.A, self.alpha, self.scale, self.emission_rows
         counts, starts = self.counts, self.starts
         beta, emitted, back = self.beta, self.emitted, self.back
         BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
+        # "clip" writes straight into `out`; "raise" would buffer the copy
+        take, row_sums = BT.take, np.add.reduce
         n = counts[0]
-        self._emissions(BT, 0, alpha)
-        alpha[:n] *= np.repeat(pi, self.sizes, axis=0)
-        _rescale(alpha[:n], scale[:n], 0)
-        for t, products in enumerate(self.forward, start=1):
-            for prev, A_g, out in products:
-                np.matmul(prev, A_g, out=out)
-            q, n = starts[t], counts[t]
-            alpha[q: q + n] *= self._emissions(BT, t, emitted)
-            _rescale(alpha[q: q + n], scale[q: q + n], t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = take(rows[:n], axis=0, out=alpha[:n], mode="clip")
+            a *= np.repeat(pi, self.sizes, axis=0)
+            np.divide(1.0, row_sums(a, axis=1), out=scale[:n])
+            a *= scale[:n, None]
+            for t, products in enumerate(self.forward, start=1):
+                for prev, A_g, out in products:
+                    np.matmul(prev, A_g, out=out)
+                q, n = starts[t], counts[t]
+                a, s = alpha[q: q + n], scale[q: q + n]
+                a *= take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
+                np.divide(1.0, row_sums(a, axis=1), out=s)
+                a *= s[:, None]
+        # NaN follows an infinite factor only in later steps of its row
+        if not scale.max() < np.inf:
+            first = np.flatnonzero(~(scale < np.inf))[0]
+            raise DegenerateSequenceError(
+                int(np.searchsorted(self.starts, first, side="right")) - 1
+            )
 
         # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
         T = len(counts)
@@ -478,7 +488,7 @@ class _GroupPass:
             gamma /= scale[q: q + n, None]
             if t == 0:
                 break
-            emitted_t = self._emissions(BT, t, emitted)
+            emitted_t = take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
             emitted_t *= beta[:n]                    # b_j(o_t) * beta_t(j)
             k, products = self.backward[t - 1]
             for prev, emitted_g, outer_g, AT_g, back_g in products:
@@ -500,26 +510,32 @@ class _GroupPass:
             -float(logs[lo:hi].sum())
             for lo, hi in zip(self.own_offsets, self.own_offsets[1:])
         ]
-        # emission counts: one weighted bincount per state over all groups
-        # beats add.at; each bin adds in its group's row order
-        stats["b_num"] = np.empty((G, N, M))
-        for j in range(N):
-            stats["b_num"][:, j] = np.bincount(
-                self.emission_rows, weights=alpha[:, j], minlength=G * M
-            ).reshape(G, M)
+        stats["b_num"] = self._emission_counts(G, M, N)
         # the M-step reads only whether a state's occupancy is positive, and
         # a sum of non-negative terms is positive exactly when one of them is
         stats["b_den"] = stats["b_num"].sum(axis=2)
         return stats, ll
 
+    def _emission_counts(self, G: int, M: int, N: int) -> np.ndarray:
+        """b_num, (G, N, M): the gamma weights stored in alpha added into
+        the flat (G*M, N) bins of their symbols' rows of the stacked B.T.
 
-def _rescale(a: np.ndarray, scale: np.ndarray, t: int) -> None:
-    """Scale the rows of `a` to sum to one, in place, storing the factors."""
-    s = a.sum(axis=1)
-    if s.min() <= 0.0:
-        raise DegenerateSequenceError(t)
-    np.divide(1.0, s, out=scale)
-    a *= scale[:, None]
+        np.add.at adds in index order, as a per-state weighted bincount
+        does, so each bin adds its weights in its group's row order.  It
+        runs over the entries of COUNT_ENTRIES // N symbols at a time, which
+        bounds the index.
+        """
+        counts = np.zeros(G * M * N)
+        weights = self.alpha.reshape(-1)
+        states = np.arange(N)
+        step = max(COUNT_ENTRIES // N, 1)
+        for lo in range(0, self.emission_rows.size, step):
+            bins = self.emission_rows[lo: lo + step, None] * N + states
+            hi = lo + bins.shape[0]
+            np.add.at(counts, bins.reshape(-1), weights[lo * N: hi * N])
+        return np.ascontiguousarray(
+            counts.reshape(G, M, N).transpose(0, 2, 1)
+        )
 
 
 def fit_groups(

@@ -126,6 +126,17 @@ def floor_row(weights, floor: float) -> np.ndarray:
     return out
 
 
+def emission_counts(emission_rows, gamma, n_bins: int) -> np.ndarray:
+    """Expected emission counts (N, n_bins): one weighted bincount per
+    state over the stored symbols' bins, each a strided column of gamma."""
+    out = np.empty((gamma.shape[1], n_bins))
+    for j in range(gamma.shape[1]):
+        out[j] = np.bincount(
+            emission_rows, weights=gamma[:, j], minlength=n_bins
+        )
+    return out
+
+
 def predict_next_markov(model, prefix) -> int:
     """A first-order chain's next symbol after `prefix`: the argmax of its
     last symbol's transition row, lowest index on ties."""

@@ -361,6 +361,95 @@ class TestEStep:
         ]
         assert [len(b.lengths) for b in hmm._em_blocks(seqs)] == [19]
 
+    @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
+    @pytest.mark.parametrize(
+        "shapes", [[], [(9, 4), (9, 2), (6, 5), (1, 3)]],
+        ids=["one-group", "four-groups"],
+    )
+    def test_emission_counts_equal_per_state_bincounts(self, shapes, chunk):
+        # without shapes, one group of mixed lengths; at 35 entries the
+        # counts run over chunks of 7 symbols, the last one short
+        rng = np.random.default_rng(4)
+        n, m = 5, 6
+        if shapes:
+            groups = [
+                [rng.integers(0, m, size=t) for _ in range(size)]
+                for t, size in shapes
+            ]
+        else:
+            groups = [[rng.integers(0, m, size=t) for t in range(1, 30)]]
+        stack = stack_models(
+            [random_model(n, m, seed=g) for g in range(len(groups))]
+        )
+        gp = hmm._GroupPass(
+            hmm._ragged([s for g in groups for s in g]),
+            [len(g) for g in groups], stack.A, m,
+        )
+        assert gp.emission_rows.size % 7 and gp.emission_rows.size > 4 * 7
+        with mock.patch.object(hmm, "COUNT_ENTRIES", chunk):
+            stats, _ = gp.e_step(stack.B, stack.pi)
+        # after the pass alpha holds gamma, the weights the counts add
+        want = oracles.emission_counts(gp.emission_rows, gp.alpha, len(groups) * m)
+        np.testing.assert_array_equal(
+            stats["b_num"], want.reshape(n, len(groups), m).transpose(1, 0, 2)
+        )
+
+
+class TestDegenerateFits:
+    """Fits started from a model under which some sequence is impossible
+    raise DegenerateSequenceError at the first step where any of their
+    sequences is, the step forward_backward names for it."""
+
+    # each state keeps its state; symbol 3 has no state that emits it
+    INIT = HmmModel(
+        n_hidden=2, n_obs=4,
+        A=np.eye(2),
+        B=np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]]),
+        pi=np.array([0.5, 0.5]),
+    )
+
+    def first_impossible_step(self, seqs):
+        steps = []
+        for s in seqs:
+            with pytest.raises(DegenerateSequenceError) as err:
+                forward_backward(self.INIT, make_seq(s))
+            steps.append(err.value.time_step)
+        return min(steps)
+
+    def init(self, n_hidden, n_obs, seed):
+        return HmmModel(
+            2, 4, self.INIT.A.copy(), self.INIT.B.copy(),
+            self.INIT.pi.copy(), seed=seed,
+        )
+
+    @pytest.mark.parametrize("impossible, step", [
+        ([[0, 1, 1, 2, 1], [0, 2, 2, 2, 2, 2]], 1),
+        ([[0, 1, 1, 2, 1], [2, 2, 0]], 2),
+        ([[0, 1, 1, 2, 1]], 3),
+        ([[1, 3], [3, 1, 1]], 0),
+    ])
+    def test_baum_welch_fit(self, impossible, step):
+        assert self.first_impossible_step(impossible) == step
+        seqs = [make_seq(s) for s in [[1, 1, 1, 1], [2, 2]] + impossible]
+        with mock.patch.object(hmm, "random_model", self.init):
+            with pytest.raises(DegenerateSequenceError) as err:
+                baum_welch_fit(seqs, 2, 4, seed=0)
+        assert err.value.time_step == step
+
+    @pytest.mark.parametrize("impossible, step", [
+        ([[2, 2, 0, 1]], 2),
+        ([[0, 1, 2], [1, 1, 1, 3]], 2),
+        ([[3, 3], [0, 2, 1, 1]], 0),
+    ])
+    def test_fit_groups(self, impossible, step):
+        assert self.first_impossible_step(impossible) == step
+        groups = [[make_seq([1] * 5)], [make_seq([0, 1]), make_seq([2, 2])]]
+        groups += [[make_seq(s)] for s in impossible]
+        with mock.patch.object(hmm, "random_model", self.init):
+            with pytest.raises(DegenerateSequenceError) as err:
+                hmm.fit_groups(groups, list(range(len(groups))), 2, 4)
+        assert err.value.time_step == step
+
 
 class TestMStep:
     def test_floor_rows_equal_one_row_solves(self):
