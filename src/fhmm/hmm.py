@@ -314,7 +314,9 @@ def _m_step(A: np.ndarray, B: np.ndarray, stats):
     Rows renormalize from their own expected counts; a state with no
     residual occupancy keeps its old row (it no longer affects the
     likelihood, and near-dead states underflow the two accumulation routes
-    differently).
+    differently).  Entries below the smallest normal float are set to 0.0,
+    so no E-step product takes the slow subnormal path and a row fed only
+    by subnormal counts keeps its old value at once.
     """
     pi = stats["pi"] / stats["pi"].sum(axis=-1, keepdims=True)
     a_total = stats["a_num"].sum(axis=-1, keepdims=True)
@@ -323,6 +325,8 @@ def _m_step(A: np.ndarray, B: np.ndarray, stats):
     B = B.copy()
     live = stats["b_den"] > 0.0
     B[live] = _floor_rows(stats["b_num"][live], EMISSION_FLOOR)
+    for out in (A, B, pi):
+        out[out < _TINY] = 0.0
     return A, B, pi
 
 

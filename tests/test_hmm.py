@@ -500,6 +500,51 @@ class TestMStep:
                 else:
                     np.testing.assert_array_equal(B[g, j], model.B[j])
 
+    def test_no_subnormal_entry_leaves_a_fit(self):
+        # the standard corpus' length-8 sessions: their M-steps yield
+        # subnormal A entries from iteration 19 on
+        data = standard_benchmark(n_train=10_000, n_test=0)
+        group = [s for s in data.train if len(s) == 8]
+        tiny = np.finfo(float).tiny
+        m_step, flushed = hmm._m_step, []
+
+        def checked(A, B, stats):
+            out = m_step(A, B, stats)
+            with mock.patch.object(hmm, "_TINY", 0.0):
+                raw = m_step(A, B, stats)
+            for got, want in zip(out, raw):
+                np.testing.assert_array_equal(
+                    got, np.where(want < tiny, 0.0, want)
+                )
+                flushed.append(int(((want > 0.0) & (want < tiny)).sum()))
+            return out
+
+        with mock.patch.object(hmm, "_m_step", checked):
+            model, trace = baum_welch_fit(group, 10, 19, seed=11 ^ 8, tol=1e-5)
+        assert sum(flushed) > 0
+        # the unflushed fit takes the same likelihood steps
+        with mock.patch.object(hmm, "_TINY", 0.0):
+            assert baum_welch_fit(group, 10, 19, seed=11 ^ 8, tol=1e-5)[1] == trace
+        for arr in (model.A, model.B, model.pi):
+            assert not ((arr > 0.0) & (arr < tiny)).any()
+
+    def test_kept_rows_and_pi_lose_their_subnormal_entries(self):
+        # one model on a leading axis: state 1 neither moves nor emits, so
+        # its A and B rows are kept, and pi renormalizes to a subnormal
+        A = np.array([[[0.5, 0.5], [1.0, 3e-310]]])
+        B = np.array([[[0.5, 0.5], [1.0, 2e-315]]])
+        stats = {
+            "pi": np.array([[1.0, 1e-312]]),
+            "a_num": np.array([[[2.0, 6e-310], [0.0, 0.0]]]),
+            "b_num": np.array([[[3.0, 1.0], [0.0, 0.0]]]),
+            "b_den": np.array([[4.0, 0.0]]),
+        }
+        A, B, pi = hmm._m_step(A, B, stats)
+        np.testing.assert_array_equal(A, [[[1.0, 0.0], [1.0, 0.0]]])
+        np.testing.assert_array_equal(B[0, 1], [1.0, 0.0])
+        np.testing.assert_array_equal(B[0, 0], [0.75, 0.25])
+        np.testing.assert_array_equal(pi, [[1.0, 0.0]])
+
 
 class TestFitGroups:
     @settings(max_examples=40, deadline=None)
