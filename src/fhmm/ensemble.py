@@ -48,7 +48,7 @@ from .hmm import (
 from .ingest import default_mapping
 from .markov import MarkovChainModel
 from .partition import FrequencyArray, PartitionPlan, build_plan, plan_to_doc
-from .sequences import StateSequence
+from .sequences import StateSequence, joined_symbols
 from . import serialize
 
 ENSEMBLE_SCHEMA = "fhmm-ensemble/1"
@@ -421,7 +421,9 @@ def evaluate(
     `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or an
     array of externally produced predictions aligned to the canonical point
     order; any other type raises DomainError, and so do a session shorter
-    than 2 and an external prediction outside [0, n_obs).
+    than 2, a session symbol or an external prediction outside [0, n_obs).
+    `n_obs` is the model's; for external predictions it defaults to one
+    more than the largest prediction or session symbol.
     """
     if not sessions:
         raise DomainError("need at least one test session")
@@ -442,15 +444,7 @@ def evaluate(
         _, targets = _stage2_meta(
             sessions, stride, max(len(s) for s in sessions)
         )
-        if isinstance(predictor, HmmModel):
-            predictions = predict_points(
-                [predictor], [s.symbols for s in sessions], stride
-            )[:, 0]
-            n_obs = predictor.n_obs
-        elif isinstance(predictor, MarkovChainModel):
-            predictions = _markov_point_predictions(
-                predictor, sessions, stride
-            )
+        if isinstance(predictor, (HmmModel, MarkovChainModel)):
             n_obs = predictor.n_obs
         elif isinstance(predictor, np.ndarray):
             if predictor.size != targets.size:
@@ -460,7 +454,11 @@ def evaluate(
                 )
             predictions = predictor.astype(np.int64)
             if n_obs is None:
-                n_obs = int(max(predictions.max(), targets.max())) + 1
+                # the alphabet the predictions and the sessions show
+                n_obs = int(max(
+                    predictions.max(),
+                    np.concatenate([s.symbols for s in sessions]).max(),
+                )) + 1
             if predictions.min() < 0 or predictions.max() >= n_obs:
                 raise DomainError(
                     f"external prediction outside the {n_obs} symbols "
@@ -469,6 +467,17 @@ def evaluate(
         else:
             raise DomainError(
                 f"unsupported predictor type {type(predictor)!r}"
+            )
+        # the confusion counts every target, and a Markov model predicts
+        # from every previous symbol, in the alphabet
+        joined_symbols(sessions, n_obs)
+        if isinstance(predictor, HmmModel):
+            predictions = predict_points(
+                [predictor], [s.symbols for s in sessions], stride
+            )[:, 0]
+        elif isinstance(predictor, MarkovChainModel):
+            predictions = _markov_point_predictions(
+                predictor, sessions, stride
             )
     predict_time = time.perf_counter() - t0
 

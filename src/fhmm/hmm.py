@@ -334,7 +334,7 @@ def _check_fit_args(sequences, n_hidden: int, n_obs: int | None) -> int:
     """The alphabet size a fit of `sequences` uses, after checking them."""
     if not sequences:
         raise DomainError("need at least one sequence")
-    max_symbol = max(int(s.symbols.max()) for s in sequences)
+    max_symbol = int(np.concatenate([s.symbols for s in sequences]).max())
     if n_obs is None:
         n_obs = max_symbol + 1
     if n_obs <= max_symbol:
@@ -360,7 +360,8 @@ def baum_welch_fit(
     The trace is non-decreasing up to floating-point slack.  Iteration halts
     when the improvement drops below `tol` (equality counts as converged) or
     after `max_iters` evaluations.  The returned model is always the one that
-    produced the final trace entry.
+    produced the final trace entry; past the random start it holds no
+    subnormal entry (see `_m_step`).
     """
     n_obs = _check_fit_args(sequences, n_hidden, n_obs)
     blocks = _em_blocks([s.symbols for s in sequences])
@@ -446,15 +447,17 @@ class _GroupPass:
         The forward pass stores alpha time-major for the rows still running
         (no padding), gathering each step's emissions as rows of the stacked
         B.T straight into a row buffer, so no gather of the whole layout
-        exists.  A zero row sum shows as an infinite scale factor: the pass
-        runs with those warnings off, and the first such factor raises
-        DegenerateSequenceError at its step before the backward pass.  The
+        exists.  A zero row sum, or one whose reciprocal overflows, shows
+        as an infinite scale factor: the pass runs with those warnings off,
+        and the first such factor raises DegenerateSequenceError at its
+        step before the backward pass.  The
         backward pass walks t downward, starts beta at scale[t] for the rows
         that end at step t, overwrites alpha with gamma and accumulates the
         expected transitions.
         """
         G, N, M = B.shape
-        A, alpha, scale, rows = self.A, self.alpha, self.scale, self.emission_rows
+        A, alpha, scale = self.A, self.alpha, self.scale
+        rows = self.emission_rows
         counts, starts = self.counts, self.starts
         beta, emitted, back = self.beta, self.emitted, self.back
         BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
@@ -487,21 +490,24 @@ class _GroupPass:
         a_outer = np.zeros((G, N, N))
         for t in range(T - 1, -1, -1):
             q, n = starts[t], counts[t]
-            gamma = alpha[q: q + n]
-            gamma *= beta[:n]
+            gamma, beta_t = alpha[q: q + n], beta[:n]
+            gamma *= beta_t
             gamma /= scale[q: q + n, None]
             if t == 0:
                 break
-            emitted_t = take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
-            emitted_t *= beta[:n]                    # b_j(o_t) * beta_t(j)
+            emitted_t = take(
+                rows[q: q + n], axis=0, out=emitted[:n], mode="clip"
+            )
+            emitted_t *= beta_t                      # b_j(o_t) * beta_t(j)
             k, products = self.backward[t - 1]
             for prev, emitted_g, outer_g, AT_g, back_g in products:
                 np.matmul(prev, emitted_g, out=outer_g)
                 np.matmul(emitted_g, AT_g, out=back_g)
             a_outer[:k] += self.outer[:k]
             p, m = starts[t - 1], counts[t - 1]
-            np.multiply(scale[p: p + n, None], back[:n], out=beta[:n])
-            beta[n:m] = scale[p + n: p + m, None]    # rows that end at t-1
+            np.multiply(scale[p: p + n, None], back[:n], out=beta_t)
+            if m > n:                                # rows that end at t-1
+                beta[n:m] = scale[p + n: p + m, None]
 
         # per-group sums at the group's own shapes: pi over its rows at t=0,
         # and log-likelihood over its scale factors in its own layout's order
@@ -647,7 +653,9 @@ class ModelStack:
     symbol's emissions as rows.
 
     Entries below the smallest normal float are 0.0 in the stacks, so no
-    product takes the slow subnormal path.  A subnormal term is below half
+    product takes the slow subnormal path; fitted models hold none, as
+    every M-step sets them to 0.0, but models saved before that rule and
+    hand-built ones may.  A subnormal term is below half
     an ULP of any sum above about 1e-292 that it enters, so only alpha
     components already below that can differ from `predict_next`'s; with
     emissions floored at EMISSION_FLOOR, row sums and next-symbol

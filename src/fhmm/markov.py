@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .sequences import StateSequence, check_symbols
+from .sequences import StateSequence, joined_symbols
 
 DEFAULT_SMOOTHING = 1.0
 
@@ -43,24 +43,25 @@ def fit_markov(
 
     T1[i][j] = (count(i->j) + smoothing) / (count(i->.) + M * smoothing);
     the initial distribution comes from first symbols the same way.  Source
-    states never observed get a uniform row when smoothing is zero.
+    states never observed get a uniform row when smoothing is zero.  The
+    counts are integers, built by one bincount over every session's
+    (previous, next) pairs and one over the first symbols.
     """
     if not sequences:
         raise DomainError("need at least one sequence")
     if smoothing < 0:
         raise DomainError("smoothing must be non-negative")
     m = n_obs
-    counts = np.zeros((m, m))
-    first = np.zeros(m)
-    n_transitions = 0
-    for seq in sequences:
-        check_symbols(seq, m)
-        sym = seq.symbols
-        first[sym[0]] += 1
-        if sym.size >= 2:
-            np.add.at(counts, (sym[:-1], sym[1:]), 1.0)
-            n_transitions += sym.size - 1
-    if n_transitions == 0 and smoothing == 0.0:
+    symbols = joined_symbols(sequences, m)
+    lengths = np.array([s.symbols.size for s in sequences])
+    ends = np.cumsum(lengths)
+    first = np.bincount(symbols[ends - lengths], minlength=m).astype(float)
+    # every (previous, next) pair but those that cross a session boundary
+    within = np.ones(max(symbols.size - 1, 0), dtype=bool)
+    within[ends[:-1] - 1] = False
+    pairs = symbols[:-1][within] * m + symbols[1:][within]
+    counts = np.bincount(pairs, minlength=m * m).reshape(m, m).astype(float)
+    if pairs.size == 0 and smoothing == 0.0:
         raise EstimationError(
             "no transitions observed and smoothing is zero"
         )

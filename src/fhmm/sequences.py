@@ -43,3 +43,14 @@ def check_symbols(seq: StateSequence, n_obs: int) -> None:
             f"sequence {seq.session_id!r} contains symbol {high} "
             f"but the alphabet has only {n_obs} symbols"
         )
+
+
+def joined_symbols(seqs: list[StateSequence], n_obs: int) -> np.ndarray:
+    """Every sequence's symbols, joined in order, after `check_symbols` on
+    each: one max over the join, and a search for the first sequence out of
+    range, which the DomainError names, only when it fails."""
+    joined = np.concatenate([s.symbols for s in seqs])
+    if joined.max() >= n_obs:
+        for seq in seqs:
+            check_symbols(seq, n_obs)
+    return joined

@@ -137,6 +137,41 @@ def emission_counts(emission_rows, gamma, n_bins: int) -> np.ndarray:
     return out
 
 
+def fit_markov_loop(sequences, n_obs: int, smoothing: float):
+    """A smoothed first-order chain's (T1, init), counted one session at a
+    time; raises as fit_markov does, the first session out of range named."""
+    from fhmm.errors import DomainError, EstimationError
+    from fhmm.sequences import check_symbols
+
+    if not sequences:
+        raise DomainError("need at least one sequence")
+    if smoothing < 0:
+        raise DomainError("smoothing must be non-negative")
+    m = n_obs
+    counts = np.zeros((m, m))
+    first = np.zeros(m)
+    n_transitions = 0
+    for seq in sequences:
+        check_symbols(seq, m)
+        sym = seq.symbols
+        first[sym[0]] += 1
+        if sym.size >= 2:
+            np.add.at(counts, (sym[:-1], sym[1:]), 1.0)
+            n_transitions += sym.size - 1
+    if n_transitions == 0 and smoothing == 0.0:
+        raise EstimationError("no transitions observed and smoothing is zero")
+    T1 = counts + smoothing
+    row_sums = T1.sum(axis=1)
+    empty = row_sums <= 0.0
+    T1[empty] = 1.0 / m
+    row_sums[empty] = 1.0
+    T1 /= row_sums[:, None]
+    init = first + smoothing
+    total = init.sum()
+    init = init / total if total > 0 else np.full(m, 1.0 / m)
+    return T1, init
+
+
 def predict_next_markov(model, prefix) -> int:
     """A first-order chain's next symbol after `prefix`: the argmax of its
     last symbol's transition row, lowest index on ties."""

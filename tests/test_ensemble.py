@@ -504,6 +504,25 @@ class TestEvaluate:
             with pytest.raises(DomainError, match="outside"):
                 evaluate(external, sessions, stride=1)
 
+    def test_markov_model_smaller_than_a_session_symbol(self):
+        markov = fit_markov([make_seq([0, 1, 1, 0])], n_obs=2, smoothing=1.0)
+        # a symbol out of range as the previous one, and as the last target
+        for symbols in ([0, 2, 1], [1, 0, 2]):
+            sessions = [make_seq([0, 1], "x"), make_seq(symbols, "y")]
+            with pytest.raises(DomainError, match="'y' contains symbol 2"):
+                evaluate(markov, sessions, stride=1)
+
+    def test_external_alphabet_smaller_than_a_target(self):
+        sessions = [make_seq([0, 2, 1], "x")]
+        with pytest.raises(DomainError, match="'x' contains symbol 2"):
+            evaluate(np.array([0, 1]), sessions, stride=1, n_obs=2)
+        # without n_obs the alphabet covers every session symbol, also one
+        # that is never a target
+        report = evaluate(
+            np.array([0]), [make_seq([3, 0, 1], "y")], stride=2
+        )
+        assert report.confusion.shape == (4, 4)
+
     @pytest.mark.parametrize("kind", ["ensemble", "hmm", "markov", "external"])
     def test_length_one_session_rejected(self, small_ensemble, kind):
         corpus, _, model = small_ensemble

@@ -198,8 +198,12 @@ class TestBaumWelch:
             baum_welch_fit([], n_hidden=2, n_obs=2, seed=0)
 
     def test_n_obs_too_small_rejected(self):
-        with pytest.raises(DomainError):
-            baum_welch_fit([make_seq([0, 3])], n_hidden=2, n_obs=2, seed=0)
+        seqs = [make_seq([0, 1]), make_seq([0, 3]), make_seq([5, 2])]
+        message = "n_obs={} too small for observed symbol 5"
+        with pytest.raises(DomainError, match=message.format(2)):
+            baum_welch_fit(seqs, n_hidden=2, n_obs=2, seed=0)
+        with pytest.raises(DomainError, match=message.format(5)):
+            hmm.fit_groups([seqs[:1], seqs[1:]], [0, 1], 2, 5)
 
     def test_model_rows_normalized(self):
         seqs = [make_seq([0, 1, 2, 1, 0], f"r{i}") for i in range(5)]
@@ -389,7 +393,9 @@ class TestEStep:
         with mock.patch.object(hmm, "COUNT_ENTRIES", chunk):
             stats, _ = gp.e_step(stack.B, stack.pi)
         # after the pass alpha holds gamma, the weights the counts add
-        want = oracles.emission_counts(gp.emission_rows, gp.alpha, len(groups) * m)
+        want = oracles.emission_counts(
+            gp.emission_rows, gp.alpha, len(groups) * m
+        )
         np.testing.assert_array_equal(
             stats["b_num"], want.reshape(n, len(groups), m).transpose(1, 0, 2)
         )
@@ -524,7 +530,8 @@ class TestMStep:
         assert sum(flushed) > 0
         # the unflushed fit takes the same likelihood steps
         with mock.patch.object(hmm, "_TINY", 0.0):
-            assert baum_welch_fit(group, 10, 19, seed=11 ^ 8, tol=1e-5)[1] == trace
+            _, raw_trace = baum_welch_fit(group, 10, 19, seed=11 ^ 8, tol=1e-5)
+        assert raw_trace == trace
         for arr in (model.A, model.B, model.pi):
             assert not ((arr > 0.0) & (arr < tiny)).any()
 

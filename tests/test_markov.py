@@ -9,7 +9,7 @@ from fhmm.markov import fit_markov, MarkovChainModel
 from fhmm.sequences import StateSequence
 
 from conftest import make_seq
-from oracles import predict_next_markov
+from oracles import fit_markov_loop, predict_next_markov
 
 
 class TestFit:
@@ -48,6 +48,42 @@ class TestFit:
     def test_smoothing_must_be_non_negative(self):
         with pytest.raises(DomainError):
             fit_markov([make_seq([0, 1])], n_obs=2, smoothing=-1.0)
+
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        m=st.integers(1, 5),
+        smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+        bad=st.lists(st.integers(0, 11), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_session_loop(
+        self, lengths, m, smoothing, bad, seed
+    ):
+        # `bad` sessions hold the symbol m, outside the alphabet
+        rng = np.random.default_rng(seed)
+        seqs = [
+            make_seq(rng.integers(0, m, size=n), f"s{i}")
+            for i, n in enumerate(lengths)
+        ]
+        for i in bad:
+            if i < len(seqs):
+                seqs[i].symbols[-1] = m
+        try:
+            want = fit_markov_loop(seqs, m, smoothing)
+        except (DomainError, EstimationError) as err:
+            with pytest.raises(type(err)) as got:
+                fit_markov(seqs, m, smoothing)
+            assert str(got.value) == str(err)
+            return
+        model = fit_markov(seqs, m, smoothing)
+        np.testing.assert_array_equal(model.T1, want[0])
+        np.testing.assert_array_equal(model.init, want[1])
+
+    def test_names_the_first_session_out_of_range(self):
+        seqs = [make_seq([0, 1], "a"), make_seq([2, 0], "b"), make_seq([3])]
+        with pytest.raises(DomainError, match="'b' contains symbol 2"):
+            fit_markov(seqs, n_obs=2)
 
     def test_smoothed_rows_sum_to_one(self):
         model = fit_markov([make_seq([0, 1, 2, 0])], n_obs=5, smoothing=1.0)
