@@ -10,6 +10,9 @@ from .errors import DomainError, EstimationError
 from .sequences import StateSequence, joined_symbols
 
 DEFAULT_SMOOTHING = 1.0
+# Symbols per bincount of fit_markov's transition counts, which bounds the
+# temporary pair codes to a fraction of the joined sessions
+PAIR_BLOCK = 65536
 
 
 @dataclass
@@ -56,12 +59,21 @@ def fit_markov(
     lengths = np.array([s.symbols.size for s in sequences])
     ends = np.cumsum(lengths)
     first = np.bincount(symbols[ends - lengths], minlength=m).astype(float)
-    # every (previous, next) pair but those that cross a session boundary
-    within = np.ones(max(symbols.size - 1, 0), dtype=bool)
-    within[ends[:-1] - 1] = False
-    pairs = symbols[:-1][within] * m + symbols[1:][within]
-    counts = np.bincount(pairs, minlength=m * m).reshape(m, m).astype(float)
-    if pairs.size == 0 and smoothing == 0.0:
+    # the code previous * m + next of every adjacent pair of the join, a
+    # block at a time, less the pairs that cross from one session into the
+    # next
+    pairs = np.zeros(m * m, dtype=np.int64)
+    for lo in range(0, symbols.size - 1, PAIR_BLOCK):
+        hi = min(lo + PAIR_BLOCK, symbols.size - 1)
+        codes = symbols[lo:hi] * m
+        codes += symbols[lo + 1: hi + 1]
+        pairs += np.bincount(codes, minlength=m * m)
+    cross = ends[:-1]
+    pairs -= np.bincount(
+        symbols[cross - 1] * m + symbols[cross], minlength=m * m
+    )
+    counts = pairs.reshape(m, m).astype(float)
+    if symbols.size == len(sequences) and smoothing == 0.0:
         raise EstimationError(
             "no transitions observed and smoothing is zero"
         )
