@@ -444,8 +444,18 @@ def evaluate(
         _, targets = _stage2_meta(
             sessions, stride, max(len(s) for s in sessions)
         )
-        if isinstance(predictor, (HmmModel, MarkovChainModel)):
+        if isinstance(predictor, HmmModel):
+            # predict_points rejects a symbol outside the model's alphabet
+            predictions = predict_points(
+                [predictor], [s.symbols for s in sessions], stride
+            )[:, 0]
             n_obs = predictor.n_obs
+        elif isinstance(predictor, MarkovChainModel):
+            n_obs = predictor.n_obs
+            joined_symbols(sessions, n_obs)
+            predictions = _markov_point_predictions(
+                predictor, sessions, stride
+            )
         elif isinstance(predictor, np.ndarray):
             if predictor.size != targets.size:
                 raise DomainError(
@@ -459,6 +469,8 @@ def evaluate(
                     predictions.max(),
                     np.concatenate([s.symbols for s in sessions]).max(),
                 )) + 1
+            else:
+                joined_symbols(sessions, n_obs)
             if predictions.min() < 0 or predictions.max() >= n_obs:
                 raise DomainError(
                     f"external prediction outside the {n_obs} symbols "
@@ -467,17 +479,6 @@ def evaluate(
         else:
             raise DomainError(
                 f"unsupported predictor type {type(predictor)!r}"
-            )
-        # the confusion counts every target, and a Markov model predicts
-        # from every previous symbol, in the alphabet
-        joined_symbols(sessions, n_obs)
-        if isinstance(predictor, HmmModel):
-            predictions = predict_points(
-                [predictor], [s.symbols for s in sessions], stride
-            )[:, 0]
-        elif isinstance(predictor, MarkovChainModel):
-            predictions = _markov_point_predictions(
-                predictor, sessions, stride
             )
     predict_time = time.perf_counter() - t0
 

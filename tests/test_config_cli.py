@@ -254,6 +254,37 @@ class TestCli:
         assert err.startswith("error: external prediction outside")
         assert "Traceback" not in err
 
+    def test_evaluate_external_target_outside_the_config_exits_2(
+        self, tmp_path, small_sessions_file, config_file, capsys
+    ):
+        # a model of three symbols evaluated under config_file's two: the
+        # model takes symbol 2, the external alphabet of the config does not
+        three = tmp_path / "three.cfg"
+        three.write_text(config_file.read_text().replace(
+            "n_obs = 2", "n_obs = 3"
+        ))
+        model_dir = tmp_path / "model"
+        main([
+            "train", "--sessions", str(small_sessions_file),
+            "--out", str(model_dir), "--config", str(three),
+        ])
+        test_path = tmp_path / "test.tsv"
+        write_sessions(test_path, [make_seq([0, 1, 0], "a"),
+                                   make_seq([0, 2, 1], "b")])
+        ext_path = tmp_path / "external.txt"
+        np.savetxt(ext_path, [1, 0, 1, 0], fmt="%d")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--model", str(model_dir),
+            "--sessions", str(test_path),
+            "--out", str(tmp_path / "rep"), "--config", str(config_file),
+            "--external", str(ext_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sequence 'b' contains symbol 2")
+        assert "Traceback" not in err
+
     def test_evaluate_baselines_require_train_sessions(self, tmp_path,
                                                        small_sessions_file,
                                                        config_file):
