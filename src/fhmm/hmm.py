@@ -450,10 +450,9 @@ class _GroupPass:
         exists.  A zero row sum, or one whose reciprocal overflows, shows
         as an infinite scale factor: the pass runs with those warnings off,
         and the first such factor raises DegenerateSequenceError at its
-        step before the backward pass.  The
-        backward pass walks t downward, starts beta at scale[t] for the rows
-        that end at step t, overwrites alpha with gamma and accumulates the
-        expected transitions.
+        step before the backward pass.  The backward pass walks t downward,
+        starts beta at scale[t] for the rows that end at step t, overwrites
+        alpha with gamma and accumulates the expected transitions.
         """
         G, N, M = B.shape
         A, alpha, scale = self.A, self.alpha, self.scale
@@ -655,13 +654,13 @@ class ModelStack:
     Entries below the smallest normal float are 0.0 in the stacks, so no
     product takes the slow subnormal path; fitted models hold none, as
     every M-step sets them to 0.0, but models saved before that rule and
-    hand-built ones may.  A subnormal term is below half
-    an ULP of any sum above about 1e-292 that it enters, so only alpha
-    components already below that can differ from `predict_next`'s; with
-    emissions floored at EMISSION_FLOOR, row sums and next-symbol
-    probabilities are far above it.  One behaviour differs: a prefix
-    reachable only through a subnormal entry raises DegenerateSequenceError
-    in the stacked passes, where `predict_next` still predicts."""
+    hand-built ones may.  A subnormal term is below half an ULP of any sum
+    above about 1e-292 that it enters, so only alpha components already
+    below that can differ from `predict_next`'s; with emissions floored at
+    EMISSION_FLOOR, row sums and next-symbol probabilities are far above
+    it.  One behaviour differs: a prefix reachable only through a
+    subnormal entry raises DegenerateSequenceError in the stacked passes,
+    where `predict_next` still predicts."""
 
     A: np.ndarray
     B: np.ndarray

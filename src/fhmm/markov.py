@@ -47,8 +47,8 @@ def fit_markov(
     T1[i][j] = (count(i->j) + smoothing) / (count(i->.) + M * smoothing);
     the initial distribution comes from first symbols the same way.  Source
     states never observed get a uniform row when smoothing is zero.  The
-    counts are integers, built by one bincount over every session's
-    (previous, next) pairs and one over the first symbols.
+    counts are integers: bincounts over the first symbols and over the
+    (previous, next) pairs of the joined sessions, a block at a time.
     """
     if not sequences:
         raise DomainError("need at least one sequence")
