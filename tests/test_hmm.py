@@ -406,7 +406,7 @@ class TestDegenerateFits:
     raise DegenerateSequenceError at the first step where any of their
     sequences is, the step forward_backward names for it."""
 
-    # each state keeps its state; symbol 3 has no state that emits it
+    # no state ever leaves itself; no state emits symbol 3
     INIT = HmmModel(
         n_hidden=2, n_obs=4,
         A=np.eye(2),
@@ -507,8 +507,8 @@ class TestMStep:
                     np.testing.assert_array_equal(B[g, j], model.B[j])
 
     def test_no_subnormal_entry_leaves_a_fit(self):
-        # the standard corpus' length-8 sessions: their M-steps yield
-        # subnormal A entries from iteration 19 on
+        # the standard corpus' length-8 sessions: unflushed, their M-steps
+        # yield subnormal A entries after about 20 iterations
         data = standard_benchmark(n_train=10_000, n_test=0)
         group = [s for s in data.train if len(s) == 8]
         tiny = np.finfo(float).tiny
