@@ -310,10 +310,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FhmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FhmmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

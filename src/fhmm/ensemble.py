@@ -1,7 +1,7 @@
 """End-to-end fusion-ensemble orchestration.
 
 Pipeline: partition sessions by length and select K diverse groups, train one
-HMM per group in one stacked EM pass (or shares of them in a process pool,
+HMM per group in one stacked EM run (or shares of them in a process pool,
 with identical results), collect the second-stage dataset of per-model
 predictions, train the fusion network, and evaluate next-state accuracy
 against baselines.
@@ -608,21 +608,25 @@ def save_ensemble(model: EnsembleModel, out_dir: str | Path) -> None:
 
 
 def _read_checked(path: Path, convert):
-    """convert(the document at `path`); a missing field or a failed check
-    raises DomainError naming the file."""
-    doc = serialize.read_doc(path)
+    """convert(the document at `path`).  A file that is not a JSON object,
+    a missing field, a value that does not convert or a failed check raises
+    DomainError naming the file; a missing file, FileNotFoundError."""
     try:
+        doc = serialize.read_doc(path)
+        if not isinstance(doc, dict):
+            raise DomainError("not a JSON object")
         return convert(doc)
     except KeyError as exc:
         raise DomainError(f"{path}: missing field {exc.args[0]!r}") from None
-    except DomainError as exc:
+    # DomainError and json's decoding errors are ValueErrors
+    except (ValueError, TypeError) as exc:
         raise DomainError(f"{path}: {exc}") from None
 
 
 def _meta_from_doc(doc: dict) -> dict:
     if doc.get("schema") != ENSEMBLE_SCHEMA:
         raise DomainError(f"unexpected ensemble schema {doc.get('schema')!r}")
-    return {
+    meta = {
         "n_obs": int(doc["n_obs"]),
         "base_seed": int(doc["base_seed"]),
         "max_len": int(doc["max_len"]),
@@ -630,6 +634,15 @@ def _meta_from_doc(doc: dict) -> dict:
         "alphabet": list(doc["alphabet"]),
         "warnings": list(doc["warnings"]),
     }
+    lengths, names = meta["selected_lengths"], meta["alphabet"]
+    if meta["max_len"] < 1:
+        raise DomainError(f"field 'max_len' is {meta['max_len']}, below 1")
+    if len(set(lengths)) != len(lengths):
+        raise DomainError("field 'selected_lengths' repeats a length")
+    if len(names) != meta["n_obs"]:
+        raise DomainError(f"field 'alphabet' names {len(names)} symbols, "
+                          f"n_obs is {meta['n_obs']}")
+    return meta
 
 
 def _plan_from_doc(doc: dict, selected: list[int]) -> PartitionPlan:

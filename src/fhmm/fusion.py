@@ -445,15 +445,13 @@ def fusion_to_doc(net: FusionNetwork) -> dict:
 
 
 def fusion_from_doc(doc: dict) -> FusionNetwork:
-    """The network in `doc`.  A "loss" key, which older files hold, is
-    ignored: scores never depended on it."""
+    """The network in `doc`; a non-finite weight raises DomainError.  The
+    "loss" key of older files is ignored: scores never depended on it."""
     if doc.get("schema") != FUSION_SCHEMA:
         raise DomainError(f"unexpected fusion schema {doc.get('schema')!r}")
-    return FusionNetwork(
-        W=serialize.array_from_doc(doc["W"]),
-        c=serialize.array_from_doc(doc["c"]),
-        w=serialize.array_from_doc(doc["w"]),
-        b=serialize.array_from_doc(doc["b"]),
-        l2=float(doc["l2"]),
-        lr=float(doc["lr"]),
-    )
+    names = ("W", "c", "w", "b")
+    weights = {name: serialize.array_from_doc(doc[name]) for name in names}
+    for name, arr in weights.items():
+        if not np.isfinite(arr).all():
+            raise DomainError(f"field {name!r} has non-finite entries")
+    return FusionNetwork(**weights, l2=float(doc["l2"]), lr=float(doc["lr"]))

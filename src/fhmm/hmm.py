@@ -1,9 +1,12 @@
 """Discrete-observation hidden Markov models.
 
 Provides the model representation, numerically scaled forward-backward
-inference, batch Baum-Welch training over many sequences, one stacked EM
-pass that fits one model per single-length group, next-symbol prediction by
-likelihood maximization, and generative sampling.
+inference, Baum-Welch training, next-symbol prediction by likelihood
+maximization, and generative sampling.  One EM routine (`_baum_welch`)
+fits both one model over sequences of any lengths (`baum_welch_fit`) and
+one model per single-length group (`fit_groups`); its E-step runs in
+passes of at least BLOCK_SYMBOLS symbols, cut only where the length or
+the group changes (`_passes`).
 
 Layouts: one sequence's forward pass and the Baum-Welch E-step hold alpha
 with states last, (steps, N).  The stacked prediction pass behind stage 2
@@ -35,8 +38,8 @@ DEFAULT_N_HIDDEN = 5
 # Sequences per block of the stacked prediction pass (see predict_points),
 # which bounds its (K, N, rows) working arrays
 ROW_BLOCK = 1024
-# Symbols per block of the Baum-Welch E-step (see _em_blocks), which bounds
-# its stored (symbols, N) alpha; closed only where the length changes
+# Symbols per pass of the Baum-Welch E-step (see _passes), which bounds its
+# stored (symbols, N) alpha; cut only where the length or the group changes
 BLOCK_SYMBOLS = 32768
 # Alpha entries per np.add.at call of the E-step's emission counts, which
 # bounds their flat index of bins and numpy's working copy of it
@@ -68,13 +71,14 @@ class HmmModel:
             raise DomainError(f"B must be {self.n_hidden}x{self.n_obs}")
         if self.pi.shape != (self.n_hidden,):
             raise DomainError(f"pi must have length {self.n_hidden}")
-        for name, arr in (("A", self.A), ("B", self.B)):
+        # pi as the one row of a matrix
+        for name, arr in (("A", self.A), ("B", self.B), ("pi", self.pi[None])):
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} has non-finite entries")
             if (arr < 0).any():
                 raise DomainError(f"{name} has negative entries")
             if np.abs(arr.sum(axis=1) - 1.0).max() > atol:
                 raise DomainError(f"{name} rows must sum to 1")
-        if (self.pi < 0).any() or abs(self.pi.sum() - 1.0) > atol:
-            raise DomainError("pi must be a distribution")
 
 
 @dataclass
@@ -266,47 +270,6 @@ def _ragged(seqs: list[np.ndarray]) -> _Ragged:
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-def _em_blocks(seqs: list[np.ndarray]) -> list[_Ragged]:
-    """The sequences, sorted longest first, cut into E-step blocks, each in
-    its own ragged layout.
-
-    A block closes once it holds at least BLOCK_SYMBOLS symbols, and only
-    where the length changes: a run of equal-length sequences is never
-    split, and a single-length corpus is one block.  Laying out one block
-    at a time keeps the layout's temporaries to the size of a block.
-    """
-    lengths = np.array([s.size for s in seqs], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    ordered = lengths[order]
-    total = np.concatenate([[0], np.cumsum(ordered)])
-    ends = (np.flatnonzero(np.diff(ordered)) + 1).tolist() + [len(seqs)]
-    blocks, lo = [], 0
-    for hi in ends:
-        if total[hi] - total[lo] >= BLOCK_SYMBOLS or hi == len(seqs):
-            blocks.append(_ragged([seqs[i] for i in order[lo:hi]]))
-            lo = hi
-    return blocks
-
-
-def _e_step(model: HmmModel, blocks: list[_Ragged]):
-    """EM sufficient statistics and the total log-likelihood of the blocks,
-    each run as a one-group pass and added in block order.
-
-    Only one block's pass exists at a time: each is built, run and freed
-    before the next, so the buffers never hold more than one block.
-    """
-    A, B, pi = model.A[None], model.B[None], model.pi[None]
-    stats, ll = {}, 0.0
-    for block in blocks:
-        block_stats, block_ll = _GroupPass(
-            block, [block.order.size], A, model.n_obs
-        ).e_step(B, pi)
-        for name, value in block_stats.items():
-            stats[name] = stats.get(name, 0.0) + value[0]
-        ll += block_ll[0]
-    return stats, ll
-
-
 def _m_step(A: np.ndarray, B: np.ndarray, stats):
     """Re-estimated (A, B, pi) from one E-step's statistics; `A`, `B` and
     every statistic may carry a leading axis of models.
@@ -346,40 +309,8 @@ def _check_fit_args(sequences, n_hidden: int, n_obs: int | None) -> int:
     return n_obs
 
 
-def baum_welch_fit(
-    sequences: list[StateSequence],
-    n_hidden: int = DEFAULT_N_HIDDEN,
-    n_obs: int | None = None,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[HmmModel, list[float]]:
-    """Batch EM over all sequences; returns the model and the trace of total
-    log-likelihood per iteration.
-
-    The trace is non-decreasing up to floating-point slack.  Iteration halts
-    when the improvement drops below `tol` (equality counts as converged) or
-    after `max_iters` evaluations.  The returned model is always the one that
-    produced the final trace entry; past the random start it holds no
-    subnormal entry (see `_m_step`).
-    """
-    n_obs = _check_fit_args(sequences, n_hidden, n_obs)
-    blocks = _em_blocks([s.symbols for s in sequences])
-    model = random_model(n_hidden, n_obs, seed)
-    trace: list[float] = []
-    for iteration in range(max_iters):
-        stats, ll = _e_step(model, blocks)
-        trace.append(ll)
-        if fit_converged(trace, tol):
-            break
-        if iteration < max_iters - 1:
-            A, B, pi = _m_step(model.A, model.B, stats)
-            model = HmmModel(n_hidden, n_obs, A, B, pi, seed=seed)
-    return model, trace
-
-
 class _GroupPass:
-    """E-steps of groups of sequences, run together in one ragged layout.
+    """One E-step of groups of sequences, run together in one ragged layout.
 
     Each group's rows are contiguous in the layout, and at step t group g
     holds rows offsets[g] to offsets[g] + running_g[t] of the rows still
@@ -388,9 +319,9 @@ class _GroupPass:
     lengths.  Elementwise work runs once per step over all running rows.
     The products with A run per group on the group's own running rows, at
     the shapes of a pass over that group alone, so each group's statistics
-    equal those of its own pass bit for bit.  The buffers, and the views of
-    them each product reads and writes, are built once and serve every
-    E-step; `A` (one matrix per group) is updated in place between E-steps.
+    equal those of its own pass bit for bit.  A pass serves one E-step with
+    `A` (one matrix per group); the views each product reads and writes
+    are made at its step, so the buffers are all a pass holds.
     """
 
     def __init__(
@@ -400,7 +331,7 @@ class _GroupPass:
         self.A = A
         self.sizes = sizes
         self.counts = counts = layout.running.tolist()
-        self.starts = starts = layout.starts.tolist()
+        self.starts = layout.starts.tolist()
         self.offsets = offsets = np.cumsum([0] + sizes).tolist()
         ends = np.concatenate([[0], np.cumsum(layout.lengths)])
         self.own_offsets = ends[offsets].tolist()
@@ -421,24 +352,16 @@ class _GroupPass:
         self.scale = np.empty(layout.obs.size)
         self.beta, self.emitted, self.back = np.empty((3, counts[0], N))
         self.outer = np.empty((G, N, N))
-        alpha, self.forward, self.backward = self.alpha, [], []
-        for t in range(1, len(counts)):
-            p, q, n = starts[t - 1], starts[t], counts[t]
-            # the groups with running rows lead; each holds its rows below n
-            spans = [
-                (g, lo, min(hi, n))
-                for g, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-                if lo < n
-            ]
-            self.forward.append([
-                (alpha[p + lo: p + hi], A[g], alpha[q + lo: q + hi])
-                for g, lo, hi in spans
-            ])
-            self.backward.append((len(spans), [
-                (alpha[p + lo: p + hi].T, self.emitted[lo:hi], self.outer[g],
-                 A[g].T, self.back[lo:hi])
-                for g, lo, hi in spans
-            ]))
+
+    def _spans(self, n: int) -> list[tuple[int, int, int]]:
+        """(group, first row, end row) of each group's rows among the first
+        n: the groups with such rows lead, and each holds its rows below n."""
+        offsets = self.offsets
+        return [
+            (g, lo, min(hi, n))
+            for g, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+            if lo < n
+        ]
 
     def e_step(self, B: np.ndarray, pi: np.ndarray):
         """Every group's EM statistics, with a leading group axis, and
@@ -459,6 +382,7 @@ class _GroupPass:
         rows = self.emission_rows
         counts, starts = self.counts, self.starts
         beta, emitted, back = self.beta, self.emitted, self.back
+        outer = self.outer
         BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
         # "clip" writes straight into `out`; "raise" would buffer the copy
         take, row_sums = BT.take, np.add.reduce
@@ -468,10 +392,12 @@ class _GroupPass:
             a *= np.repeat(pi, self.sizes, axis=0)
             np.divide(1.0, row_sums(a, axis=1), out=scale[:n])
             a *= scale[:n, None]
-            for t, products in enumerate(self.forward, start=1):
-                for prev, A_g, out in products:
-                    np.matmul(prev, A_g, out=out)
-                q, n = starts[t], counts[t]
+            for t in range(1, len(counts)):
+                p, q, n = starts[t - 1], starts[t], counts[t]
+                for g, lo, hi in self._spans(n):
+                    np.matmul(
+                        alpha[p + lo: p + hi], A[g], out=alpha[q + lo: q + hi]
+                    )
                 a, s = alpha[q: q + n], scale[q: q + n]
                 a *= take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
                 np.divide(1.0, row_sums(a, axis=1), out=s)
@@ -498,12 +424,14 @@ class _GroupPass:
                 rows[q: q + n], axis=0, out=emitted[:n], mode="clip"
             )
             emitted_t *= beta_t                      # b_j(o_t) * beta_t(j)
-            k, products = self.backward[t - 1]
-            for prev, emitted_g, outer_g, AT_g, back_g in products:
-                np.matmul(prev, emitted_g, out=outer_g)
-                np.matmul(emitted_g, AT_g, out=back_g)
-            a_outer[:k] += self.outer[:k]
             p, m = starts[t - 1], counts[t - 1]
+            spans = self._spans(n)
+            for g, lo, hi in spans:
+                np.matmul(
+                    alpha[p + lo: p + hi].T, emitted[lo:hi], out=outer[g]
+                )
+                np.matmul(emitted[lo:hi], A[g].T, out=back[lo:hi])
+            a_outer[:len(spans)] += outer[:len(spans)]
             np.multiply(scale[p: p + n, None], back[:n], out=beta_t)
             if m > n:                                # rows that end at t-1
                 beta[n:m] = scale[p + n: p + m, None]
@@ -547,6 +475,105 @@ class _GroupPass:
         )
 
 
+def _passes(groups: list[list[np.ndarray]]) -> list[tuple]:
+    """The E-step passes over `groups`' rows, each group's longest first:
+    (layout, its pass-groups' sizes, the index of its first group).
+
+    A pass is cut once it holds at least BLOCK_SYMBOLS symbols, and only
+    where the length or the group changes; its rows of one group form one
+    pass-group.  With one group, or groups of one length each that come
+    longest first, a pass-group's rows are contiguous in its layout.
+    """
+    rows = [s for g in groups for s in sorted(g, key=len, reverse=True)]
+    lengths = np.array([s.size for s in rows], dtype=np.int64)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    total = np.concatenate([[0], np.cumsum(lengths)])
+    cuts = np.flatnonzero((np.diff(lengths) != 0) | (np.diff(owner) != 0)) + 1
+    passes, lo = [], 0
+    for hi in cuts.tolist() + [len(rows)]:
+        if total[hi] - total[lo] >= BLOCK_SYMBOLS or hi == len(rows):
+            first, sizes = np.unique(owner[lo:hi], return_counts=True)
+            passes.append((_ragged(rows[lo:hi]), sizes.tolist(), first[0]))
+            lo = hi
+    return passes
+
+
+def _baum_welch(
+    groups: list[list[np.ndarray]], seeds: list[int], n_hidden: int,
+    n_obs: int, tol: float, max_iters: int,
+) -> list[tuple[HmmModel, list[float]]]:
+    """(model, trace) per group, in input order: Baum-Welch for one HMM per
+    group from random_model(n_hidden, n_obs, seeds[g]).  There is one
+    group, or every group is of one length (see `_passes`).
+
+    Each iteration runs one E-step over the groups still iterating, pass
+    after pass, and one M-step over them all; a group leaves when it
+    converges or reaches `max_iters`.  A group adds its statistics and
+    log-likelihood over its passes in pass order, from 0.0; they do not
+    depend on the other groups in a pass.  Layouts are rebuilt only when a
+    group leaves; each pass's `_GroupPass` is built, run and freed in turn.
+    """
+    inits = [random_model(n_hidden, n_obs, seed) for seed in seeds]
+    if max_iters < 1:
+        return [(model, []) for model in inits]
+    live = sorted(range(len(groups)), key=lambda g: -max(map(len, groups[g])))
+    A = np.stack([inits[g].A for g in live])
+    B = np.stack([inits[g].B for g in live])
+    pi = np.stack([inits[g].pi for g in live])
+    traces, models = [[] for _ in groups], [None] * len(groups)
+    passes = None
+    while live:
+        passes = passes or _passes([groups[g] for g in live])
+        stats, lls = {}, np.zeros(len(live))
+        for layout, sizes, lo in passes:
+            hi = lo + len(sizes)
+            pass_stats, pass_lls = _GroupPass(
+                layout, sizes, A[lo:hi], n_obs
+            ).e_step(B[lo:hi], pi[lo:hi])
+            for name, value in pass_stats.items():
+                stats.setdefault(name, np.zeros((len(live), *value.shape[1:])))
+                stats[name][lo:hi] += value
+            lls[lo:hi] += pass_lls
+        for i, g in enumerate(live):
+            traces[g].append(float(lls[i]))
+            if fit_converged(traces[g], tol) or len(traces[g]) == max_iters:
+                models[g] = HmmModel(
+                    n_hidden, n_obs, A[i].copy(), B[i].copy(), pi[i].copy(),
+                    seed=seeds[g],
+                )
+        stay = [i for i, g in enumerate(live) if models[g] is None]
+        if len(stay) < len(live):
+            live = [live[i] for i in stay]
+            A, B, pi = A[stay], B[stay], pi[stay]
+            stats = {name: v[stay] for name, v in stats.items()}
+            passes = None
+        if live:
+            A, B, pi = _m_step(A, B, stats)
+    return list(zip(models, traces))
+
+
+def baum_welch_fit(
+    sequences: list[StateSequence],
+    n_hidden: int = DEFAULT_N_HIDDEN,
+    n_obs: int | None = None,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> tuple[HmmModel, list[float]]:
+    """Batch EM over all sequences; returns the model and the trace of total
+    log-likelihood per iteration.
+
+    The trace is non-decreasing up to floating-point slack.  Iteration halts
+    when the improvement drops below `tol` (equality counts as converged) or
+    after `max_iters` evaluations.  The returned model is always the one that
+    produced the final trace entry; past the random start it holds no
+    subnormal entry (see `_m_step`).  This is `_baum_welch` on one group.
+    """
+    n_obs = _check_fit_args(sequences, n_hidden, n_obs)
+    groups = [[s.symbols for s in sequences]]
+    return _baum_welch(groups, [seed], n_hidden, n_obs, tol, max_iters)[0]
+
+
 def fit_groups(
     groups: list[list[StateSequence]],
     seeds: list[int],
@@ -555,13 +582,12 @@ def fit_groups(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> list[tuple[HmmModel, list[float]]]:
-    """One HMM per single-length group, all fitted in one stacked EM pass.
+    """One HMM per single-length group, all fitted in one stacked EM run.
 
     Returns (model, trace) per group, in input order, each exactly what
     `baum_welch_fit(groups[g], n_hidden, n_obs, seeds[g], tol, max_iters)`
-    returns.  Every iteration runs one E-step over the rows of all groups
-    still iterating (see `_GroupPass`) and one M-step over all their rows;
-    a group leaves the pass when it converges or reaches `max_iters`.
+    returns; the groups share each E-step's passes and each M-step (see
+    `_baum_welch`).
     """
     if len(seeds) != len(groups):
         raise DomainError("need one seed per group")
@@ -569,44 +595,8 @@ def fit_groups(
     for group in groups:
         if not group or len({len(s) for s in group}) != 1:
             raise DomainError("each group needs sequences, all of one length")
-    inits = [random_model(n_hidden, n_obs, seed) for seed in seeds]
-    if max_iters < 1:
-        return [(model, []) for model in inits]
-    order = sorted(range(len(groups)), key=lambda g: -len(groups[g][0]))
-    A = np.stack([inits[g].A for g in order])
-    B = np.stack([inits[g].B for g in order])
-    pi = np.stack([inits[g].pi for g in order])
-    traces: list[list[float]] = [[] for _ in groups]
-    results: list = [None] * len(groups)
-    live = order                             # groups still iterating
-    gp = None
-    while live:
-        if gp is None:
-            gp = _GroupPass(
-                _ragged([s.symbols for g in live for s in groups[g]]),
-                [len(groups[g]) for g in live], A, n_obs,
-            )
-        stats, lls = gp.e_step(B, pi)
-        stay = []
-        for i, g in enumerate(live):
-            traces[g].append(lls[i])
-            if fit_converged(traces[g], tol) or len(traces[g]) == max_iters:
-                model = HmmModel(
-                    n_hidden, n_obs, A[i].copy(), B[i].copy(), pi[i].copy(),
-                    seed=seeds[g],
-                )
-                results[g] = (model, traces[g])
-            else:
-                stay.append(i)
-        if len(stay) < len(live):
-            live = [live[i] for i in stay]
-            A, B, pi = A[stay], B[stay], pi[stay]
-            stats = {name: v[stay] for name, v in stats.items()}
-            gp = None
-        if live:
-            # in place, where the pass's products read it
-            A[...], B, pi = _m_step(A, B, stats)
-    return results
+    symbols = [[s.symbols for s in g] for g in groups]
+    return _baum_welch(symbols, seeds, n_hidden, n_obs, tol, max_iters)
 
 
 def fit_converged(trace: list[float], tol: float = DEFAULT_TOL) -> bool:
@@ -758,8 +748,9 @@ def predict_points(
     prefix)[0] for the prefix that point predicts after.  The models must
     share one (n_hidden, n_obs) shape (see `stack_models`).  One scaled
     forward pass runs all K models over all sequences at once: in the
-    ragged layout Baum-Welch also uses, the sequences still running at step t are the first rows, and
-    the next-symbol argmax is taken only at stride points.  Besides the
+    ragged layout Baum-Welch also uses, the sequences still running at
+    step t are the first rows, and the next-symbol argmax is taken only at
+    stride points.  Besides the
     result, memory holds the layout (two int64 per symbol while it is
     built, one after) and working arrays of at most ROW_BLOCK sequences.
 

@@ -5,7 +5,8 @@ import pytest
 
 from fhmm.cli import main
 from fhmm.config import RunConfig, parse_config_text
-from fhmm.errors import ConfigError
+from fhmm.ensemble import load_ensemble
+from fhmm.errors import ConfigError, DomainError
 from fhmm.hmm import random_model, save_model
 from fhmm.ingest import read_sessions, render_cowrie_lines, write_sessions
 
@@ -426,3 +427,72 @@ class TestLoadValidation:
         assert code == 2
         assert path.name in err and "n_hidden" in err
         assert f"hmm_{first}.json" in err
+
+    @pytest.mark.parametrize("name, field", [("hmm", "a"), ("hmm", "pi"),
+                                             ("fusion", "W"), ("fusion", "b")])
+    def test_non_finite_parameter_exits_2(self, tmp_path, small_sessions_file,
+                                          config_file, capsys, name, field):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        if name == "hmm":
+            length = json.loads(
+                (model_dir / "ensemble.json").read_text()
+            )["selected_lengths"][-1]
+            name = f"hmm_{length}"
+        path = model_dir / f"{name}.json"
+        doc = json.loads(path.read_text())
+        entries = doc[field] if isinstance(doc[field][0], list) else [doc[field]]
+        entries[0][0] = "NaN"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=path.name):
+            load_ensemble(model_dir)
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert path.name in err and "non-finite" in err
+
+    def test_damaged_file_exits_2(self, tmp_path, small_sessions_file,
+                                  config_file, capsys):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        fusion = model_dir / "fusion.json"
+        text = fusion.read_text()
+        fusion.write_text(text[: len(text) // 2])
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert "fusion.json" in err
+        fusion.write_text(text)
+
+        length = json.loads(
+            (model_dir / "ensemble.json").read_text()
+        )["selected_lengths"][0]
+        path = model_dir / f"hmm_{length}.json"
+        doc = json.loads(path.read_text())
+        doc["b"][0][1] = "half"
+        path.write_text(json.dumps(doc))
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert path.name in err and "half" in err
+
+        # a missing file stays an I/O failure
+        path.unlink()
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 1
+        assert path.name in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_len", 0, "below 1"),
+        ("selected_lengths", "repeat", "repeats a length"),
+        ("alphabet", ["state_0"], "names 1 symbols, n_obs is 2"),
+    ])
+    def test_inconsistent_ensemble_json_exits_2(
+        self, tmp_path, small_sessions_file, config_file, capsys, field,
+        value, message,
+    ):
+        model_dir = self._train(tmp_path, small_sessions_file, config_file)
+        path = model_dir / "ensemble.json"
+        doc = json.loads(path.read_text())
+        if value == "repeat":
+            value = doc[field][:1] * 2
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        code, err = self._predict_error(model_dir, capsys)
+        assert code == 2
+        assert "ensemble.json" in err and field in err and message in err

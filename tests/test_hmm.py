@@ -250,6 +250,23 @@ def assert_matches_forward_backward(model, seqs, stats, ll):
     assert abs(ll - expected_ll) <= 1e-12 * abs(expected_ll)
 
 
+def first_e_step(model, seqs):
+    """The statistics and log-likelihood of the first E-step of the shared
+    EM route over `seqs` as one group, started from `model`."""
+    m_step, seen = hmm._m_step, []
+
+    def recorded(A, B, stats):
+        seen.append({name: v[0] for name, v in stats.items()})
+        return m_step(A, B, stats)
+
+    with mock.patch.object(hmm, "random_model", lambda *_: model):
+        with mock.patch.object(hmm, "_m_step", recorded):
+            [(_, trace)] = hmm._baum_welch(
+                [seqs], [0], model.n_hidden, model.n_obs, hmm.DEFAULT_TOL, 2
+            )
+    return seen[0], trace[0]
+
+
 class TestEStep:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -267,8 +284,7 @@ class TestEStep:
         lengths = rng.permutation(([1] + lengths) * repeats)
         seqs = [rng.integers(0, m, size=t) for t in lengths]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", budget):
-            blocks = hmm._em_blocks(seqs)
-        stats, ll = hmm._e_step(model, blocks)
+            stats, ll = first_e_step(model, seqs)
         assert_matches_forward_backward(model, seqs, stats, ll)
 
     @settings(max_examples=40, deadline=None)
@@ -336,7 +352,7 @@ class TestEStep:
         # that would otherwise count towards the traced peak
         baum_welch_fit(seqs[:10], n_hidden, n_obs=6, seed=1, max_iters=2)
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 4096):
-            blocks = hmm._em_blocks([s.symbols for s in seqs])
+            blocks = [p[0] for p in hmm._passes([[s.symbols for s in seqs]])]
             assert len(blocks) == 19
             alpha_bytes = max(b.obs.size for b in blocks) * n_hidden * 8
             del blocks
@@ -348,22 +364,42 @@ class TestEStep:
                 tracemalloc.stop()
         assert peak <= 2.2 * alpha_bytes, (peak, alpha_bytes)
 
-    def test_blocks_close_only_where_the_length_changes(self):
+    def test_passes_cut_only_where_the_length_or_the_group_changes(self):
         rng = np.random.default_rng(0)
         same = [rng.integers(0, 3, size=7) for _ in range(50)]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            blocks = hmm._em_blocks(same)
-        assert [b.lengths.tolist() for b in blocks] == [[7] * 50]
+            passes = hmm._passes([same])
+        assert [p[0].lengths.tolist() for p in passes] == [[7] * 50]
 
         lengths = rng.permutation(np.repeat([9, 5, 4, 2, 1], [3, 6, 1, 4, 5]))
         seqs = [rng.integers(0, 3, size=t) for t in lengths]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            blocks = hmm._em_blocks(seqs)
-        # 27 symbols, 30, then 4 + 8 closing past the budget, then the rest
-        assert [b.lengths.tolist() for b in blocks] == [
+            passes = hmm._passes([seqs])
+        # one group over four passes: 27 symbols, 30, then 4 + 8 closing
+        # past the budget, then the rest
+        assert [p[0].lengths.tolist() for p in passes] == [
             [9] * 3, [5] * 6, [4, 2, 2, 2, 2], [1] * 5
         ]
-        assert [len(b.lengths) for b in hmm._em_blocks(seqs)] == [19]
+        assert [p[1:] for p in passes] == [([3], 0), ([6], 0), ([5], 0),
+                                           ([5], 0)]
+        assert [len(p[0].lengths) for p in hmm._passes([seqs])] == [19]
+
+        # single-length groups, longest first, packed whole: 27 symbols;
+        # 5 left open at the change of group, closing at 15; then the rest
+        shapes = [(9, 3), (5, 1), (5, 2), (2, 4), (1, 5)]
+        groups = [
+            [rng.integers(0, 3, size=t) for _ in range(size)]
+            for t, size in shapes
+        ]
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
+            passes = hmm._passes(groups)
+        assert [(p[0].lengths.tolist(), *p[1:]) for p in passes] == [
+            ([9] * 3, [3], 0), ([5] * 3, [1, 2], 1),
+            ([2] * 4 + [1] * 5, [4, 5], 3),
+        ]
+        # each pass-group's rows, in input order, are contiguous
+        np.testing.assert_array_equal(passes[1][0].order, np.arange(3))
+        assert [len(p[0].lengths) for p in hmm._passes(groups)] == [15]
 
     @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
     @pytest.mark.parametrize(
@@ -486,7 +522,7 @@ class TestMStep:
         stats = []
         for model in models:
             seqs = [rng.integers(0, m, size=7) for _ in range(5)]
-            stats.append(hmm._e_step(model, hmm._em_blocks(seqs))[0])
+            stats.append(first_e_step(model, seqs)[0])
         A, B, pi = hmm._m_step(
             np.stack([model.A for model in models]),
             np.stack([model.B for model in models]),
@@ -563,11 +599,13 @@ class TestFitGroups:
         n_hidden=st.integers(1, 4),
         max_iters=st.integers(1, 15),
         tol=st.sampled_from([1e-1, 1e-2, 1e-3]),
+        budget=st.sampled_from([1, 40, 150, hmm.BLOCK_SYMBOLS]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_each_group_equals_its_own_fit(
-        self, shapes, n_hidden, max_iters, tol, seed
+        self, shapes, n_hidden, max_iters, tol, budget, seed
     ):
+        # small budgets spread the groups over several passes
         rng = np.random.default_rng(seed)
         m = 4
         groups = [
@@ -575,7 +613,8 @@ class TestFitGroups:
             for n, size in shapes
         ]
         seeds = rng.integers(0, 2**31, size=len(groups)).tolist()
-        fits = hmm.fit_groups(groups, seeds, n_hidden, m, tol, max_iters)
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", budget):
+            fits = hmm.fit_groups(groups, seeds, n_hidden, m, tol, max_iters)
         for group, group_seed, (model, trace) in zip(groups, seeds, fits):
             want, want_trace = baum_welch_fit(
                 group, n_hidden, m, group_seed, tol, max_iters
@@ -601,6 +640,33 @@ class TestFitGroups:
             want, want_trace = baum_welch_fit(group, 3, 4, seed, 1e-2, 40)
             assert trace == want_trace
             np.testing.assert_array_equal(model.B, want.B)
+
+    def test_holds_one_pass_of_alpha(self):
+        # 10 single-length groups in 6 passes; the largest pass's alpha is
+        # 1800 KiB.  One pass over every live group held 5.2 times that
+        rng = np.random.default_rng(1)
+        groups = [
+            [StateSequence(rng.integers(0, 6, size=t)) for _ in range(60)]
+            for t in range(8, 88, 8)
+        ]
+        seeds = list(range(len(groups)))
+        n_hidden = 32
+        # one-time work off the peak, as in the one-group test above
+        hmm.fit_groups(groups[:2], seeds[:2], n_hidden, 6, max_iters=2)
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 4096):
+            blocks = [p[0] for p in hmm._passes(
+                [[s.symbols for s in g] for g in reversed(groups)]
+            )]
+            assert len(blocks) == 6
+            alpha_bytes = max(b.obs.size for b in blocks) * n_hidden * 8
+            del blocks
+            tracemalloc.start()
+            try:
+                hmm.fit_groups(groups, seeds, n_hidden, 6, max_iters=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.2 * alpha_bytes, (peak, alpha_bytes)
 
     def test_rejects_mixed_lengths_and_missing_seeds(self):
         group = [make_seq([0, 1]), make_seq([1, 0, 1])]
