@@ -47,7 +47,9 @@ from .hmm import (
 )
 from .ingest import default_mapping
 from .markov import MarkovChainModel
-from .partition import FrequencyArray, PartitionPlan, build_plan, plan_to_doc
+from .partition import (
+    PLAN_SCHEMA, FrequencyArray, PartitionPlan, build_plan, plan_to_doc,
+)
 from .sequences import StateSequence, joined_symbols
 from . import serialize
 
@@ -607,22 +609,6 @@ def save_ensemble(model: EnsembleModel, out_dir: str | Path) -> None:
     serialize.write_doc(out / "fusion.json", fusion_to_doc(model.fusion))
 
 
-def _read_checked(path: Path, convert):
-    """convert(the document at `path`).  A file that is not a JSON object,
-    a missing field, a value that does not convert or a failed check raises
-    DomainError naming the file; a missing file, FileNotFoundError."""
-    try:
-        doc = serialize.read_doc(path)
-        if not isinstance(doc, dict):
-            raise DomainError("not a JSON object")
-        return convert(doc)
-    except KeyError as exc:
-        raise DomainError(f"{path}: missing field {exc.args[0]!r}") from None
-    # DomainError and json's decoding errors are ValueErrors
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"{path}: {exc}") from None
-
-
 def _meta_from_doc(doc: dict) -> dict:
     if doc.get("schema") != ENSEMBLE_SCHEMA:
         raise DomainError(f"unexpected ensemble schema {doc.get('schema')!r}")
@@ -635,6 +621,9 @@ def _meta_from_doc(doc: dict) -> dict:
         "warnings": list(doc["warnings"]),
     }
     lengths, names = meta["selected_lengths"], meta["alphabet"]
+    for key in ("alphabet", "warnings"):
+        if not all(isinstance(v, str) for v in meta[key]):
+            raise DomainError(f"field {key!r} holds a value that is not text")
     if meta["max_len"] < 1:
         raise DomainError(f"field 'max_len' is {meta['max_len']}, below 1")
     if len(set(lengths)) != len(lengths):
@@ -646,6 +635,12 @@ def _meta_from_doc(doc: dict) -> dict:
 
 
 def _plan_from_doc(doc: dict, selected: list[int]) -> PartitionPlan:
+    if doc.get("schema") != PLAN_SCHEMA:
+        raise DomainError(f"unexpected plan schema {doc.get('schema')!r}")
+    if [int(v) for v in doc["selected_lengths"]] != selected:
+        raise DomainError(
+            "field 'selected_lengths' differs from ensemble.json's"
+        )
     supports = doc["group_supports"]
     freq_arrays = [
         FrequencyArray(
@@ -658,7 +653,7 @@ def _plan_from_doc(doc: dict, selected: list[int]) -> PartitionPlan:
     return PartitionPlan(
         freq_arrays=freq_arrays,
         distances=serialize.array_from_doc(doc["distance_matrix"]),
-        ranks={int(k): v for k, v in doc["ranks"].items()},
+        ranks={int(k): int(v) for k, v in doc["ranks"].items()},
         selected_lengths=selected,
         coverage=float(doc["coverage"]),
         total_sessions=int(doc["total_sessions"]),
@@ -688,7 +683,7 @@ def load_ensemble(model_dir: str | Path) -> EnsembleModel:
     differs from the first selected one's raises DomainError naming the
     file."""
     root = Path(model_dir)
-    meta = _read_checked(root / "ensemble.json", _meta_from_doc)
+    meta = serialize.read_checked(root / "ensemble.json", _meta_from_doc)
     selected, n_obs = meta["selected_lengths"], meta["n_obs"]
     models: dict[int, HmmModel] = {}
 
@@ -712,15 +707,15 @@ def load_ensemble(model_dir: str | Path) -> EnsembleModel:
         return fusion
 
     for length in selected:
-        models[length] = _read_checked(
+        models[length] = serialize.read_checked(
             root / f"hmm_{length}.json", hmm_from_doc
         )
     return EnsembleModel(
-        plan=_read_checked(
+        plan=serialize.read_checked(
             root / "plan.json", lambda doc: _plan_from_doc(doc, selected)
         ),
         models=models,
-        fusion=_read_checked(root / "fusion.json", checked_fusion),
+        fusion=serialize.read_checked(root / "fusion.json", checked_fusion),
         alphabet=meta["alphabet"],
         n_obs=n_obs,
         base_seed=meta["base_seed"],

@@ -445,13 +445,16 @@ def fusion_to_doc(net: FusionNetwork) -> dict:
 
 
 def fusion_from_doc(doc: dict) -> FusionNetwork:
-    """The network in `doc`; a non-finite weight raises DomainError.  The
-    "loss" key of older files is ignored: scores never depended on it."""
+    """The network in `doc`; a non-finite weight, l2 or lr raises
+    DomainError.  The "loss" key of older files is ignored: scores never
+    depended on it."""
     if doc.get("schema") != FUSION_SCHEMA:
         raise DomainError(f"unexpected fusion schema {doc.get('schema')!r}")
-    names = ("W", "c", "w", "b")
-    weights = {name: serialize.array_from_doc(doc[name]) for name in names}
-    for name, arr in weights.items():
-        if not np.isfinite(arr).all():
+    weights = {
+        name: serialize.array_from_doc(doc[name]) for name in ("W", "c", "w", "b")
+    }
+    rates = {name: float(doc[name]) for name in ("l2", "lr")}
+    for name, value in {**weights, **rates}.items():
+        if not np.isfinite(value).all():
             raise DomainError(f"field {name!r} has non-finite entries")
-    return FusionNetwork(**weights, l2=float(doc["l2"]), lr=float(doc["lr"]))
+    return FusionNetwork(**weights, **rates)

@@ -13,7 +13,11 @@ with states last, (steps, N).  The stacked prediction pass behind stage 2
 and evaluation (`predict_points`) holds it state-major, (K, N, rows), so
 its per-step work runs along contiguous rows of sequences; it adds the
 states in numpy's summation order, so that its predictions are those of
-the one-sequence pass (`predict_next`).
+the one-sequence pass (`predict_next`).  Online prediction of one prefix
+(`predict_next_all`) holds the K models' alpha states last, (K, N), and
+runs each step as four ufunc calls into buffers made once per call,
+multiplying by one contiguous (K, N) row of the symbol-major emissions
+(M, K, N) of `ModelStack`.
 
 Scaling convention (fixed for the whole package): at each step t the scale
 factor is the reciprocal of the unscaled forward row sum, alpha rows are
@@ -638,8 +642,9 @@ def point_offsets(lengths: np.ndarray, stride: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ModelStack:
     """K models of one shape stacked for the stacked passes: A (K,N,N),
-    B (K,N,M), B transposed (K,M,N) and pi (K,N); B transposed gathers one
-    symbol's emissions as rows.
+    B (K,N,M), the emissions symbol-major E (M,K,N) and pi (K,N).  E[o] is
+    one contiguous (K, N) row, the emissions of symbol o in every model,
+    which each step of `predict_next_all` multiplies by.
 
     Entries below the smallest normal float are 0.0 in the stacks, so no
     product takes the slow subnormal path; fitted models hold none, as
@@ -654,7 +659,7 @@ class ModelStack:
 
     A: np.ndarray
     B: np.ndarray
-    BT: np.ndarray
+    E: np.ndarray
     pi: np.ndarray
 
 
@@ -678,18 +683,9 @@ def stack_models(models: list[HmmModel]) -> ModelStack:
     B = flushed([m.B for m in models])
     return ModelStack(
         flushed([m.A for m in models]), B,
-        np.ascontiguousarray(B.transpose(0, 2, 1)),
+        np.ascontiguousarray(B.transpose(2, 0, 1)),
         flushed([m.pi for m in models]),
     )
-
-
-def _normalized(a: np.ndarray, t: int) -> np.ndarray:
-    """Scale the last axis of `a` to sum to one, in place."""
-    s = a.sum(axis=-1)
-    if (s <= 0.0).any():
-        raise DegenerateSequenceError(t)
-    a /= s[..., None]
-    return a
 
 
 def _state_sums(a: np.ndarray) -> np.ndarray:
@@ -724,7 +720,8 @@ def _state_sums(a: np.ndarray) -> np.ndarray:
 
 def _normalized_states(a: np.ndarray, t: int) -> np.ndarray:
     """Scale each row of state-major alpha (K, N, rows) to sum to one over
-    its N states, in place, with the sums and quotients of `_normalized`."""
+    its N states, in place, with the sums and quotients that
+    `_stacked_alpha` takes over states-last rows."""
     s = _state_sums(a)
     if (s <= 0.0).any():
         raise DegenerateSequenceError(t)
@@ -812,17 +809,51 @@ def predict_points(
     return out
 
 
+def _stacked_alpha(stack: ModelStack, obs: np.ndarray) -> np.ndarray:
+    """The normalized forward rows (K, N) of every stacked model after the
+    symbols `obs`.
+
+    Each step is four ufunc calls into buffers made once per call: the
+    transition product of alpha as (K, 1, N) with A, its product with the
+    (K, N) emissions E[obs[t]], the row sums into S[t] and the division by
+    them.  A zero row sum at step t turns that model's row into NaN from
+    then on, so the first step whose sums are not all positive is the step
+    that raises DegenerateSequenceError.
+    """
+    A, pi = stack.A, stack.pi
+    rows = list(stack.E)
+    symbols = obs.tolist()
+    a = np.empty(pi.shape)
+    prod = np.empty((pi.shape[0], 1, pi.shape[1]))
+    S = np.empty((len(symbols), pi.shape[0], 1))
+    a3, p = a[:, None, :], prod[:, 0]
+    # positional arguments, (in, ..., out) and add.reduce's (a, axis,
+    # dtype, out, keepdims): keywords cost more than the arithmetic here
+    matmul, multiply, divide, row_sums = (
+        np.matmul, np.multiply, np.divide, np.add.reduce
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        multiply(pi, rows[symbols[0]], a)
+        row_sums(a, -1, None, S[0], True)
+        divide(a, S[0], a)
+        for s, o in zip(S[1:], symbols[1:]):
+            matmul(a3, A, prod)
+            multiply(p, rows[o], a)
+            row_sums(a, -1, None, s, True)
+            divide(a, s, a)
+    bad = ~(S > 0).all(axis=(1, 2))
+    if bad.any():
+        raise DegenerateSequenceError(int(bad.argmax()))
+    return a
+
+
 def predict_next_all(stack: ModelStack, prefix: StateSequence) -> np.ndarray:
     """Each stacked model's predict_next symbol after `prefix`, as a (K,)
     array in input order, from one forward pass as in
     `predict_points`.  Build `stack` once with `stack_models`."""
-    A, B, BT, pi = stack.A, stack.B, stack.BT, stack.pi
-    check_symbols(prefix, B.shape[2])
-    obs = prefix.symbols
-    a = _normalized(pi * BT[:, obs[0]], 0)
-    for t in range(1, obs.size):
-        a = _normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
-    return np.argmax((a[:, None, :] @ A) @ B, axis=2)[:, 0]
+    check_symbols(prefix, stack.B.shape[2])
+    a = _stacked_alpha(stack, prefix.symbols)
+    return np.argmax((a[:, None, :] @ stack.A) @ stack.B, axis=2)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -902,4 +933,6 @@ def save_model(model: HmmModel, path) -> None:
 
 
 def load_model(path) -> HmmModel:
-    return model_from_doc(serialize.read_doc(path))
+    """The model saved at `path`.  A damaged file raises DomainError naming
+    it; a missing one, FileNotFoundError."""
+    return serialize.read_checked(path, model_from_doc)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def fmt_float(x: float) -> str:
     """Render a float at 17 significant digits (exact float64 round-trip)."""
@@ -39,3 +41,19 @@ def write_doc(path: str | Path, doc: dict) -> None:
 
 def read_doc(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def read_checked(path: str | Path, convert):
+    """convert(the document at `path`).  A file that is not a JSON object,
+    a missing field, a value that does not convert or a failed check raises
+    DomainError naming the file; a missing file, FileNotFoundError."""
+    try:
+        doc = read_doc(path)
+        if not isinstance(doc, dict):
+            raise DomainError("not a JSON object")
+        return convert(doc)
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing field {exc.args[0]!r}") from None
+    # DomainError and json's decoding errors are ValueErrors
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -184,3 +184,25 @@ def one_hot_targets(targets, n_obs: int) -> np.ndarray:
     for row, target in enumerate(targets):
         out[row, int(target)] = 1.0
     return out
+
+
+def stacked_alpha_loop(A, B, pi, obs) -> np.ndarray:
+    """The stacked models' normalized forward rows (K, N) after `obs`, one
+    fresh array per step: the transition product, the emissions gathered
+    from B transposed (K, M, N), the row sums and the division, raising
+    DegenerateSequenceError at the first step with a sum not above zero."""
+    from fhmm.errors import DegenerateSequenceError
+
+    BT = np.ascontiguousarray(np.asarray(B).transpose(0, 2, 1))
+
+    def normalized(a, t):
+        s = a.sum(axis=-1)
+        if (s <= 0.0).any():
+            raise DegenerateSequenceError(t)
+        a /= s[..., None]
+        return a
+
+    a = normalized(pi * BT[:, obs[0]], 0)
+    for t in range(1, len(obs)):
+        a = normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
+    return a

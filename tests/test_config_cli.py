@@ -1,7 +1,13 @@
+import io
 import json
+import shutil
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhmm.cli import main
 from fhmm.config import RunConfig, parse_config_text
@@ -63,8 +69,7 @@ class TestConfigParsing:
         assert rebuilt == RunConfig()
 
 
-@pytest.fixture()
-def small_sessions_file(tmp_path):
+def write_small_sessions(directory):
     rng = np.random.default_rng(0)
     sessions = []
     for i in range(160):
@@ -72,19 +77,28 @@ def small_sessions_file(tmp_path):
         # alternating pattern with occasional flip noise
         base = np.arange(length) % 2
         sessions.append(make_seq(base, f"s{i}"))
-    path = tmp_path / "sessions.tsv"
+    path = directory / "sessions.tsv"
     write_sessions(path, sessions)
     return path
 
 
-@pytest.fixture()
-def config_file(tmp_path):
-    path = tmp_path / "run.cfg"
+def write_config(directory):
+    path = directory / "run.cfg"
     path.write_text(
         "k = 2\nn_hidden = 3\nn_obs = 2\nmin_support = 5\n"
         "hidden_width = 8\nepochs = 10\nbase_seed = 4\nmax_iters = 40\n"
     )
     return path
+
+
+@pytest.fixture()
+def small_sessions_file(tmp_path):
+    return write_small_sessions(tmp_path)
+
+
+@pytest.fixture()
+def config_file(tmp_path):
+    return write_config(tmp_path)
 
 
 class TestCli:
@@ -496,3 +510,78 @@ class TestLoadValidation:
         code, err = self._predict_error(model_dir, capsys)
         assert code == 2
         assert "ensemble.json" in err and field in err and message in err
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    out = root / "model"
+    assert main(["train", "--sessions", str(write_small_sessions(root)),
+                 "--out", str(out), "--config", str(write_config(root))]) == 0
+    return out
+
+
+def leaf_paths(doc, path=()):
+    """The key paths of every value in `doc` that is not a dict or list."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for key, value in items for p in leaf_paths(value, path + (key,))]
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# One kind of damage to one file: "nan" and "type" replace one value,
+# "ragged" gives one row of a matrix an extra entry, "truncate" cuts the
+# file short.  plan.json is drawn only for structural damage: its arrays
+# are not checked for finite values, and its "projection_2d" is a report
+# that loading does not read.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_model_directory_fails_closed(saved_model, data):
+    names = sorted(p.name for p in saved_model.glob("*.json"))
+    name = data.draw(st.sampled_from(names), label="file")
+    text = (saved_model / name).read_text()
+    doc = json.loads(text)
+    kinds = ["type", "ragged", "truncate"]
+    if name != "plan.json":
+        kinds.append("nan")
+    leaves = [p for p in leaf_paths(doc) if p[0] != "projection_2d"]
+    rows = [p[:-1] for p in leaves
+            if len(p) >= 2 and isinstance(at(doc, p[:-2]), list)
+            and len(at(doc, p[:-2])) >= 2]
+    if not rows:
+        kinds.remove("ragged")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "truncate":
+        cut = data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut")
+        damaged = text[:cut]
+    else:
+        if kind == "ragged":
+            row = at(doc, data.draw(st.sampled_from(rows), label="row"))
+            row.append(row[-1])
+        else:
+            path = data.draw(st.sampled_from(leaves), label="field")
+            at(doc, path[:-1])[path[-1]] = (
+                float("nan") if kind == "nan" else {"damaged": True}
+            )
+        damaged = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        model_dir = Path(tmp) / "model"
+        shutil.copytree(saved_model, model_dir)
+        (model_dir / name).write_text(damaged)
+        with pytest.raises(DomainError, match=name):
+            load_ensemble(model_dir)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["predict", "--model", str(model_dir),
+                         "--prefix", "0,1,0"])
+        assert code == 2
+        assert name in err.getvalue()

@@ -899,13 +899,13 @@ class TestPredictPoints:
         models[1].pi[0] = tiny
         before = [(m.A.copy(), m.B.copy(), m.pi.copy()) for m in models]
         stack = stack_models(models)
-        for arr in (stack.A, stack.B, stack.BT, stack.pi):
+        for arr in (stack.A, stack.B, stack.E, stack.pi):
             assert not ((arr > 0.0) & (arr < tiny)).any()
         assert stack.A[0, 1, 2] == stack.B[1, 0, 0] == stack.pi[1, 0] == tiny
         for k, (A, B, pi) in enumerate(before):
             # the stacks flush only what is below tiny ...
             for got, kept in ((stack.A[k], A), (stack.B[k], B),
-                              (stack.BT[k], B.T), (stack.pi[k], pi)):
+                              (stack.E[:, k], B.T), (stack.pi[k], pi)):
                 np.testing.assert_array_equal(
                     got, np.where(kept < tiny, 0.0, kept)
                 )
@@ -996,6 +996,75 @@ class TestPredictPoints:
                 )
 
 
+class TestStackedStep:
+    """The buffered forward step behind predict_next_all against the per-step
+    loop it replaced (oracles.stacked_alpha_loop)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n_hidden=st.integers(1, 12),
+        n_obs=st.integers(1, 5),
+        length=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "pi"]), st.integers(0, 10**6),
+                st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny,
+                                 2 * np.finfo(np.float64).tiny]),
+            ),
+            max_size=6,
+        ),
+        dead=st.booleans(),
+    )
+    def test_equals_the_per_step_loop_bit_for_bit(
+        self, k, n_hidden, n_obs, length, seed, planted, dead
+    ):
+        # up to 12 states, so the row sums take both numpy's one-by-one
+        # order (below 8 states) and its unrolled one
+        rng = np.random.default_rng(seed)
+        models = [random_model(n_hidden, n_obs, seed=seed + i)
+                  for i in range(k)]
+        # subnormal entries, which the stacks flush to 0.0, and the two
+        # smallest normal ones, which they keep and which make alpha
+        # entries subnormal
+        for i, (name, pos, value) in enumerate(planted):
+            arr = getattr(models[i % k], name)
+            arr.flat[pos % arr.size] = value
+        if dead:
+            # a symbol the last model cannot emit: a prefix holding it is
+            # degenerate from its first occurrence on
+            models[-1].B[:, n_obs - 1] = 5e-324
+        stack = stack_models(models)
+        obs = rng.integers(0, n_obs, size=length)
+        try:
+            expected = oracles.stacked_alpha_loop(
+                stack.A, stack.B, stack.pi, obs
+            )
+        except DegenerateSequenceError as err:
+            with pytest.raises(DegenerateSequenceError) as got:
+                hmm._stacked_alpha(stack, obs)
+            assert got.value.time_step == err.time_step
+        else:
+            got = hmm._stacked_alpha(stack, obs)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_holds_no_per_step_arrays(self):
+        K, N, M, T = 16, 10, 10, 300
+        stack = stack_models([random_model(N, M, seed=s) for s in range(K)])
+        prefix = StateSequence(np.random.default_rng(0).integers(0, M, T))
+        predict_next_all(stack, prefix)
+        tracemalloc.start()
+        try:
+            predict_next_all(stack, prefix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # half of one (T, K, N) float64 array, such as a gather of every
+        # step's emissions; the step's buffers and sums are far below it
+        assert peak < T * K * N * 8 / 2, peak
+
+
 class TestSample:
     def test_deterministic_generator_sequence(self, alternating_model):
         seq = draw(alternating_model, 4, seed=0)
@@ -1049,6 +1118,19 @@ class TestSerialization:
         reread = model_from_doc(doc)
         assert np.array_equal(model.A, reread.A)
         assert all(isinstance(v, str) for row in doc["a"] for v in row)
+
+    def test_damaged_file_raises_domain_error_naming_it(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(random_model(2, 3, seed=1), path)
+        text = path.read_text()
+        for damaged in (text[: len(text) // 2], "not json", "[1, 2]"):
+            path.write_text(damaged)
+            with pytest.raises(DomainError, match="model.json"):
+                load_model(path)
+        # a missing file stays an I/O failure
+        path.unlink()
+        with pytest.raises(FileNotFoundError):
+            load_model(path)
 
     def test_schema_mismatch_rejected(self):
         model = random_model(2, 2, seed=1)
