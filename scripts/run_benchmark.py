@@ -6,7 +6,6 @@ full evaluation reports (JSON summary + CSVs) to a directory.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -14,13 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fhmm.benchmark import standard_benchmark, standard_config
-from fhmm.ensemble import (
-    evaluate,
-    report_to_doc,
-    train_ensemble,
-    write_confusion_csv,
-    write_per_state_csv,
-)
+from fhmm.ensemble import evaluate, train_ensemble, write_evaluation_reports
 from fhmm.hmm import baum_welch_fit
 from fhmm.markov import fit_markov
 
@@ -72,24 +65,12 @@ def main() -> int:
         print(f"{name:<28}{report.overall_accuracy:>10.4f}{seconds:>11.1f}s")
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "schema": "fhmm-eval-summary/1",
-            "stride": config.stride,
-            "models": {
-                name: report_to_doc(report, name) for name, report, _ in rows
-            },
-        }
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        # each report under its first word: markov, hmm, fhmm
+        write_evaluation_reports(
+            {name.split()[0]: report for name, report, _ in rows},
+            args.out, config.stride, model.alphabet,
         )
-        for name, report, _ in rows:
-            slug = name.split()[0]
-            write_confusion_csv(report, out / f"confusion_{slug}.csv")
-            write_per_state_csv(report, out / f"per_state_{slug}.csv",
-                                model.alphabet)
-        print(f"reports written to {out}", file=sys.stderr)
+        print(f"reports written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -21,14 +21,12 @@ from .ensemble import (
     load_ensemble,
     predict,
     prediction_correlation,
-    report_to_doc,
     save_ensemble,
     split_sessions,
     sweep_k,
     train_ensemble,
-    write_confusion_csv,
     write_correlation_csv,
-    write_per_state_csv,
+    write_evaluation_reports,
     write_sweep_csv,
 )
 from .errors import ConfigError, DomainError, FhmmError
@@ -174,9 +172,6 @@ def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
     model = load_ensemble(args.model)
     test_sessions = read_sessions(args.sessions)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     reports = {"fhmm": evaluate(model, test_sessions, stride=config.stride)}
     baselines = [b.strip() for b in (args.baselines or "").split(",") if b.strip()]
     if baselines:
@@ -202,17 +197,7 @@ def cmd_evaluate(args) -> int:
             preds, test_sessions, stride=config.stride, n_obs=config.n_obs
         )
 
-    summary = {
-        "schema": "fhmm-eval-summary/1",
-        "stride": config.stride,
-        "models": {
-            name: report_to_doc(report, name) for name, report in reports.items()
-        },
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    for name, report in reports.items():
-        write_confusion_csv(report, out / f"confusion_{name}.csv")
-        write_per_state_csv(report, out / f"per_state_{name}.csv", model.alphabet)
+    write_evaluation_reports(reports, args.out, config.stride, model.alphabet)
     if args.correlation_out:
         model_list = [model.models[length] for length in model.selected_lengths]
         corr = prediction_correlation(model_list, test_sessions, stride=config.stride)

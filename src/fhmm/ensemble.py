@@ -48,7 +48,8 @@ from .hmm import (
 from .ingest import default_mapping
 from .markov import MarkovChainModel
 from .partition import (
-    PLAN_SCHEMA, FrequencyArray, PartitionPlan, build_plan, plan_to_doc,
+    PLAN_SCHEMA, FrequencyArray, PartitionPlan, build_plan, group_by_length,
+    plan_to_doc,
 )
 from .sequences import StateSequence, joined_symbols
 from . import serialize
@@ -230,10 +231,7 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
     """
     for seqs in predict_on:
         _check_stage2(seqs, config.stride)
-    by_length: dict[int, list] = {length: [] for length in lengths}
-    for s in sessions:
-        if len(s) in by_length:
-            by_length[len(s)].append(s)
+    by_length = dict(group_by_length(sessions))
     groups = [by_length[length] for length in lengths]
     seeds = [config.base_seed ^ length for length in lengths]
     if config.parallel:
@@ -560,6 +558,8 @@ def sweep_k(
         raise DomainError("need at least one k value")
     if sorted(set(ks)) != list(ks):
         raise DomainError("k values must be ascending and distinct")
+    if ks[0] < 1:
+        raise DomainError(f"k values must be at least 1, got {ks[0]}")
     train, test = split_sessions(sessions, config.train_frac, config.base_seed)
     k_max = ks[-1]
 
@@ -765,6 +765,31 @@ def report_to_doc(report: EvaluationReport, name: str) -> dict:
             for stage, seconds in report.wall_time.items()
         },
     }
+
+
+SUMMARY_SCHEMA = "fhmm-eval-summary/1"
+
+
+def write_evaluation_reports(
+    reports: dict[str, EvaluationReport], out_dir: str | Path, stride: int,
+    alphabet=None,
+) -> None:
+    """Write summary.json, holding every report under its name, and
+    confusion_<name>.csv and per_state_<name>.csv per report into `out_dir`,
+    which is created if missing."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    serialize.write_doc(out / "summary.json", {
+        "schema": SUMMARY_SCHEMA,
+        "stride": stride,
+        "models": {
+            name: report_to_doc(report, name)
+            for name, report in reports.items()
+        },
+    })
+    for name, report in reports.items():
+        write_confusion_csv(report, out / f"confusion_{name}.csv")
+        write_per_state_csv(report, out / f"per_state_{name}.csv", alphabet)
 
 
 def write_confusion_csv(report: EvaluationReport, path: str | Path) -> None:

@@ -283,7 +283,9 @@ def _m_step(A: np.ndarray, B: np.ndarray, stats):
     likelihood, and near-dead states underflow the two accumulation routes
     differently).  Entries below the smallest normal float are set to 0.0,
     so no E-step product takes the slow subnormal path and a row fed only
-    by subnormal counts keeps its old value at once.
+    by subnormal counts keeps its old value at once.  This is the one rule
+    that sets a parameter to 0.0: every prediction path runs a model's
+    parameters as they are.
     """
     pi = stats["pi"] / stats["pi"].sum(axis=-1, keepdims=True)
     a_total = stats["a_num"].sum(axis=-1, keepdims=True)
@@ -644,18 +646,7 @@ class ModelStack:
     """K models of one shape stacked for the stacked passes: A (K,N,N),
     B (K,N,M), the emissions symbol-major E (M,K,N) and pi (K,N).  E[o] is
     one contiguous (K, N) row, the emissions of symbol o in every model,
-    which each step of `predict_next_all` multiplies by.
-
-    Entries below the smallest normal float are 0.0 in the stacks, so no
-    product takes the slow subnormal path; fitted models hold none, as
-    every M-step sets them to 0.0, but models saved before that rule and
-    hand-built ones may.  A subnormal term is below half an ULP of any sum
-    above about 1e-292 that it enters, so only alpha components already
-    below that can differ from `predict_next`'s; with emissions floored at
-    EMISSION_FLOOR, row sums and next-symbol probabilities are far above
-    it.  One behaviour differs: a prefix reachable only through a
-    subnormal entry raises DegenerateSequenceError in the stacked passes,
-    where `predict_next` still predicts."""
+    which each step of `predict_next_all` multiplies by."""
 
     A: np.ndarray
     B: np.ndarray
@@ -664,9 +655,8 @@ class ModelStack:
 
 
 def stack_models(models: list[HmmModel]) -> ModelStack:
-    """`models` stacked in input order, with subnormal entries set to 0.0 in
-    the stacked copies (see ModelStack); the models' own arrays are left as
-    they are.  Models of different (n_hidden, n_obs) raise DomainError."""
+    """Copies of `models`' parameters, stacked in input order.  Models of
+    different (n_hidden, n_obs) raise DomainError."""
     if not models:
         raise DomainError("need at least one model")
     shapes = {(m.n_hidden, m.n_obs) for m in models}
@@ -674,17 +664,11 @@ def stack_models(models: list[HmmModel]) -> ModelStack:
         raise DomainError(
             f"models of different (n_hidden, n_obs) shapes: {sorted(shapes)}"
         )
-
-    def flushed(arrays):
-        out = np.stack(arrays)
-        out[out < _TINY] = 0.0
-        return out
-
-    B = flushed([m.B for m in models])
+    B = np.stack([m.B for m in models])
     return ModelStack(
-        flushed([m.A for m in models]), B,
+        np.stack([m.A for m in models]), B,
         np.ascontiguousarray(B.transpose(2, 0, 1)),
-        flushed([m.pi for m in models]),
+        np.stack([m.pi for m in models]),
     )
 
 
@@ -758,11 +742,6 @@ def predict_points(
     order (`_state_sums`), so each equals numpy's `sum` over that row's N
     states bit for bit, and the next-symbol probabilities of all K models
     are one batched (K, rows, M) product.
-
-    The pass runs on `stack_models`' stack, whose subnormal entries are
-    0.0: a prefix that only a subnormal transition, start or emission
-    probability makes possible raises `DegenerateSequenceError` at its step,
-    where `predict_next` still predicts after it.
     """
     if stride < 1:
         raise DomainError("stride must be at least 1")

@@ -353,6 +353,18 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2 + 2
 
+    @pytest.mark.parametrize("ks", ["-1,2", "0,2"])
+    def test_sweep_k_below_one_exits_2(self, tmp_path, small_sessions_file,
+                                       config_file, capsys, ks):
+        out = tmp_path / "curve.csv"
+        code = main([
+            "sweep", "--sessions", str(small_sessions_file),
+            f"--ks={ks}", "--out", str(out), "--config", str(config_file),
+        ])
+        assert code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_importance_report(self, tmp_path, small_sessions_file,
                                      config_file):
         out = tmp_path / "model"

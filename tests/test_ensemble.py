@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import fhmm
 from fhmm import ensemble
 
+from fhmm.benchmark import standard_benchmark, standard_config
 from fhmm.config import RunConfig
 from fhmm.ensemble import (
     EnsembleModel,
@@ -29,6 +30,7 @@ from fhmm.ensemble import (
     sweep_k,
     train_ensemble,
     write_confusion_csv,
+    write_evaluation_reports,
     write_per_state_csv,
     write_sweep_csv,
 )
@@ -629,6 +631,14 @@ class TestSweepK:
         with pytest.raises(DomainError):
             sweep_k(corpus.sessions, [2, 1], _small_config())
 
+    @pytest.mark.parametrize("ks", [[-1, 2], [0, 2], [0]])
+    def test_k_below_one_rejected_before_any_fit(self, ks):
+        corpus = _small_corpus(seed=1, n=60)
+        with mock.patch.object(ensemble, "_fit_selected") as fit:
+            with pytest.raises(DomainError, match="at least 1"):
+                sweep_k(corpus.sessions, ks, _small_config())
+        fit.assert_not_called()
+
     def test_curve_rows_monotone_k(self, tmp_path):
         corpus = _small_corpus(seed=2, n=300)
         curve = sweep_k(corpus.sessions, [1, 2], _small_config(epochs=10))
@@ -704,6 +714,47 @@ class TestSerializationAndReports:
         save_ensemble(loaded, tmp_path / "again")
         assert (tmp_path / "again" / "fusion.json").read_text() == new
 
+    def test_directory_with_subnormal_transitions_predicts_on_every_path(
+        self, tmp_path
+    ):
+        # directories saved before the M-step set subnormal entries to 0.0
+        # hold such entries where today's hold zeros; the stacked passes run
+        # them as they are, so every path predicts what predict_next does
+        bench = standard_benchmark(n_train=300, n_test=40, seed=11)
+        model = train_ensemble(bench.train, standard_config(k=3))
+        save_ensemble(model, tmp_path / "model")
+        length = model.selected_lengths[0]
+        path = tmp_path / "model" / f"hmm_{length}.json"
+        doc = json.loads(path.read_text())
+        zeros = [(i, j) for i, row in enumerate(doc["a"])
+                 for j, v in enumerate(row) if float(v) == 0.0]
+        assert zeros
+        for i, j in zeros:
+            doc["a"][i][j] = 5e-324
+        path.write_text(json.dumps(doc))
+        loaded = load_ensemble(tmp_path / "model")
+        assert (loaded.models[length].A == 5e-324).sum() == len(zeros)
+        sessions = bench.test[:6]
+        fused, per_model, targets = _fused_point_predictions(
+            loaded, sessions, 1
+        )
+        online = []
+        for s in sessions:
+            for t in range(1, len(s)):
+                prefix = StateSequence(s.symbols[:t])
+                out = predict(loaded, prefix)
+                assert out.per_model == {
+                    n: predict_next(loaded.models[n], prefix)[0]
+                    for n in loaded.selected_lengths
+                }
+                assert list(out.per_model.values()) == list(
+                    per_model[len(online)]
+                )
+                online.append(out.symbol)
+        np.testing.assert_array_equal(fused, online)
+        report = evaluate(loaded, sessions, stride=1)
+        assert report.overall_accuracy == np.mean(np.array(online) == targets)
+
     def test_report_docs_and_csvs(self, small_ensemble, tmp_path):
         corpus, _, model = small_ensemble
         report = evaluate(model, corpus.sessions[:40], stride=1)
@@ -718,6 +769,32 @@ class TestSerializationAndReports:
         assert len(confusion_lines) == 2 + model.n_obs
         per_state = (tmp_path / "per_state.csv").read_text()
         assert "state,name,support,accuracy" in per_state
+
+    def test_evaluation_reports_under_each_name(self, small_ensemble,
+                                                tmp_path):
+        corpus, _, model = small_ensemble
+        sessions = corpus.sessions[:40]
+        reports = {
+            "fhmm": evaluate(model, sessions, stride=2),
+            "markov": evaluate(fit_markov(sessions, model.n_obs), sessions,
+                               stride=2),
+        }
+        write_evaluation_reports(reports, tmp_path / "out", 2, model.alphabet)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["schema"] == "fhmm-eval-summary/1"
+        assert summary["stride"] == 2
+        assert summary["models"] == {
+            name: report_to_doc(report, name)
+            for name, report in reports.items()
+        }
+        for name, report in reports.items():
+            write_confusion_csv(report, tmp_path / "confusion.csv")
+            write_per_state_csv(report, tmp_path / "per_state.csv",
+                                model.alphabet)
+            for kind in ("confusion", "per_state"):
+                got = (tmp_path / "out" / f"{kind}_{name}.csv").read_text()
+                assert got == (tmp_path / f"{kind}.csv").read_text()
+        assert len(list((tmp_path / "out").iterdir())) == 5
 
     def test_absent_state_renders_dash(self, tmp_path):
         sessions = [make_seq([0, 1, 0, 1], "x")]

@@ -888,7 +888,7 @@ class TestPredictPoints:
         assert len(outputs[0]) > 0
         assert outputs[0] == outputs[1]
 
-    def test_stacks_hold_no_subnormal_and_leave_the_models_alone(self):
+    def test_stacks_copy_the_models_bit_for_bit(self):
         tiny = np.finfo(np.float64).tiny
         models = [random_model(3, 4, seed=s) for s in (1, 2)]
         models[0].A[0, 1] = 5e-324
@@ -899,24 +899,24 @@ class TestPredictPoints:
         models[1].pi[0] = tiny
         before = [(m.A.copy(), m.B.copy(), m.pi.copy()) for m in models]
         stack = stack_models(models)
-        for arr in (stack.A, stack.B, stack.E, stack.pi):
-            assert not ((arr > 0.0) & (arr < tiny)).any()
-        assert stack.A[0, 1, 2] == stack.B[1, 0, 0] == stack.pi[1, 0] == tiny
         for k, (A, B, pi) in enumerate(before):
-            # the stacks flush only what is below tiny ...
             for got, kept in ((stack.A[k], A), (stack.B[k], B),
                               (stack.E[:, k], B.T), (stack.pi[k], pi)):
-                np.testing.assert_array_equal(
-                    got, np.where(kept < tiny, 0.0, kept)
-                )
-            # ... and the models keep every bit
+                assert got.tobytes() == np.ascontiguousarray(kept).tobytes()
+            # copies: the models keep every bit, and writing to the stacks
+            # reaches no model
             for got, kept in zip((models[k].A, models[k].B, models[k].pi),
                                  (A, B, pi)):
                 assert got.tobytes() == kept.tobytes()
+        for arr in (stack.A, stack.B, stack.E, stack.pi):
+            arr[...] = 0.0
+        for m, (A, B, pi) in zip(models, before):
+            for got, kept in zip((m.A, m.B, m.pi), (A, B, pi)):
+                assert got.tobytes() == kept.tobytes()
 
-    def test_prefix_reachable_only_through_a_subnormal_is_degenerate(self):
+    def test_prefix_reachable_only_through_a_subnormal_predicts(self):
         # state 1 is entered only through A[0, 1] = 5e-324, and only state 1
-        # emits symbol 1; the stacks flush that entry to 0.0
+        # emits symbol 1
         model = HmmModel(
             n_hidden=2, n_obs=2,
             A=np.array([[1.0, 5e-324], [0.0, 1.0]]),
@@ -924,23 +924,23 @@ class TestPredictPoints:
             pi=np.array([1.0, 0.0]),
         )
         prefix = StateSequence(np.array([0, 1]))
-        # the row sum at step 1 is 5e-324, whose reciprocal overflows; the
-        # oracle path scores it without a floating-point warning
+        # the row sum at step 1 is 5e-324, whose reciprocal overflows; no
+        # path meets a floating-point warning on it
         with np.errstate(all="raise"):
             assert predict_next(model, prefix)[0] == 1
             assert score(model, prefix) == pytest.approx(
                 math.log(5e-324), abs=1e-9
             )
+            np.testing.assert_array_equal(
+                predict_points([model], [np.array([0, 1, 1])]), [[0], [1]]
+            )
+            np.testing.assert_array_equal(
+                predict_next_all(stack_models([model]), prefix), [1]
+            )
+        # the posteriors are degenerate there
         with pytest.raises(DegenerateSequenceError) as err:
-            predict_points([model], [np.array([0, 1, 1])])
+            forward_backward(model, prefix)
         assert err.value.time_step == 1
-        with pytest.raises(DegenerateSequenceError) as err:
-            predict_next_all(stack_models([model]), prefix)
-        assert err.value.time_step == 1
-        # the prefix before the subnormal step predicts as before
-        np.testing.assert_array_equal(
-            predict_points([model], [np.array([0, 0])]), [[0]]
-        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -952,7 +952,7 @@ class TestPredictPoints:
         seed=st.integers(0, 2**32 - 1),
         planted=st.lists(
             st.tuples(
-                st.integers(0, 3), st.integers(0, 143),
+                st.integers(0, 3), st.integers(0, 2**16),
                 st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny]),
             ),
             max_size=4,
@@ -963,37 +963,72 @@ class TestPredictPoints:
     ):
         # up to 12 states, so the row sums take both numpy's one-by-one
         # order (below 8 states) and its unrolled one
+        n_obs = 5
         rng = np.random.default_rng(seed)
-        models = [random_model(n_hidden, 5, seed=seed + i) for i in range(k)]
-        # values at and below the smallest normal float, which the stacks
-        # flush or keep; off A's diagonal and outside pi[0], so that each
-        # row of A and pi keeps an entry of normal size
-        off_diagonal = n_hidden * (n_hidden - 1)
-        for i, pos, value in planted if n_hidden > 1 else []:
+        models = [random_model(n_hidden, n_obs, seed=seed + i) for i in range(k)]
+        # values at and below the smallest normal float anywhere in A, B and
+        # pi, diagonals and pi[0] included, so a prefix may become possible
+        # only through such a value, or impossible where it underflows
+        for i, pos, value in planted:
             m = models[i % k]
-            pos %= off_diagonal + n_hidden - 1
-            if pos < off_diagonal:
-                row, col = divmod(pos, n_hidden - 1)
-                m.A[row, col + (col >= row)] = value
-            else:
-                m.pi[1 + pos - off_diagonal] = value
+            pos %= m.A.size + m.B.size + m.pi.size
+            for arr in (m.A, m.B, m.pi):
+                if pos < arr.size:
+                    arr.flat[pos] = value
+                    break
+                pos -= arr.size
         lengths = rng.permutation(lengths * repeats)
-        seqs = [rng.integers(0, 5, size=n) for n in lengths]
-        got = predict_points(models, seqs, stride)
+        seqs = [rng.integers(0, n_obs, size=n) for n in lengths]
+
+        def outcome(call):
+            try:
+                return call()
+            except DegenerateSequenceError as err:
+                return ("degenerate", err.time_step)
+
+        def first_degenerate(outcomes):
+            steps = [o[1] for o in outcomes if isinstance(o, tuple)]
+            return ("degenerate", min(steps)) if steps else None
+
+        stack = stack_models(models)
+        rows, raised = [], []
+        for s in seqs:
+            points = range(1, s.size, stride)
+            for m in models:
+                # predict_points runs the forward pass over the whole
+                # sequence, so it raises where `score` over it does, and
+                # otherwise predicts as predict_next at every point
+                got = outcome(
+                    lambda: predict_points([m], [s], stride)[:, 0].tolist()
+                )
+                whole = outcome(lambda: score(m, StateSequence(s)))
+                if isinstance(whole, tuple):
+                    assert got == whole
+                    raised.append(whole)
+                else:
+                    assert got == [
+                        predict_next(m, StateSequence(s[:t]))[0] for t in points
+                    ]
+            for t in points:
+                prefix = StateSequence(s[:t])
+                expected = [
+                    outcome(lambda: predict_next(m, prefix)[0]) for m in models
+                ]
+                got = outcome(lambda: predict_next_all(stack, prefix).tolist())
+                assert got == (first_degenerate(expected) or expected)
+                rows.append(expected)
+        # all models over all sequences at once: the first step any of them
+        # raises at, or every model's predictions side by side
+        got = outcome(lambda: predict_points(models, seqs, stride))
+        if raised:
+            assert got == min(raised)
+            return
+        np.testing.assert_array_equal(got, rows)
+        assert got.shape == (point_offsets(lengths, stride)[-1], k)
         with mock.patch.object(hmm, "ROW_BLOCK", 2):
             np.testing.assert_array_equal(
                 predict_points(models, seqs, stride), got
             )
-        offsets = point_offsets(lengths, stride)
-        assert got.shape == (offsets[-1], k)
-        for i, s in enumerate(seqs):
-            for j, t in enumerate(range(1, s.size, stride)):
-                prefix = StateSequence(s[:t])
-                expected = [predict_next(m, prefix)[0] for m in models]
-                np.testing.assert_array_equal(got[offsets[i] + j], expected)
-                np.testing.assert_array_equal(
-                    predict_next_all(stack_models(models), prefix), expected
-                )
 
 
 class TestStackedStep:
@@ -1025,16 +1060,15 @@ class TestStackedStep:
         rng = np.random.default_rng(seed)
         models = [random_model(n_hidden, n_obs, seed=seed + i)
                   for i in range(k)]
-        # subnormal entries, which the stacks flush to 0.0, and the two
-        # smallest normal ones, which they keep and which make alpha
-        # entries subnormal
+        # subnormal entries and the two smallest normal ones, all of which
+        # make alpha entries subnormal
         for i, (name, pos, value) in enumerate(planted):
             arr = getattr(models[i % k], name)
             arr.flat[pos % arr.size] = value
         if dead:
             # a symbol the last model cannot emit: a prefix holding it is
             # degenerate from its first occurrence on
-            models[-1].B[:, n_obs - 1] = 5e-324
+            models[-1].B[:, n_obs - 1] = 0.0
         stack = stack_models(models)
         obs = rng.integers(0, n_obs, size=length)
         try:
