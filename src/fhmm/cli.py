@@ -191,7 +191,12 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(f"unknown baseline {name!r}")
             reports[name] = evaluate(baseline, test_sessions, stride=config.stride)
     if args.external:
-        preds = np.loadtxt(args.external, dtype=np.int64, ndmin=1)
+        try:
+            preds = np.loadtxt(args.external, dtype=np.int64, ndmin=1)
+        except ValueError as exc:
+            raise DomainError(
+                f"malformed external predictions in {args.external}: {exc}"
+            ) from exc
         name = args.external_name or "external"
         reports[name] = evaluate(
             preds, test_sessions, stride=config.stride, n_obs=config.n_obs

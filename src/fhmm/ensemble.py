@@ -418,10 +418,11 @@ def evaluate(
 ) -> EvaluationReport:
     """Next-state accuracy of any supported predictor over the test sessions.
 
-    `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or an
-    array of externally produced predictions aligned to the canonical point
-    order; any other type raises DomainError, and so do a session shorter
-    than 2, a session symbol or an external prediction outside [0, n_obs).
+    `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or a
+    1-D array of externally produced predictions aligned to the canonical
+    point order; any other type or array shape raises DomainError, and so
+    do a session shorter than 2, a session symbol or an external prediction
+    outside [0, n_obs).
     `n_obs` is the model's; for external predictions it defaults to one
     more than the largest prediction or session symbol.
     """
@@ -457,6 +458,11 @@ def evaluate(
                 predictor, sessions, stride
             )
         elif isinstance(predictor, np.ndarray):
+            if predictor.ndim != 1:
+                raise DomainError(
+                    f"external predictions must be a 1-D array, got shape "
+                    f"{predictor.shape}"
+                )
             if predictor.size != targets.size:
                 raise DomainError(
                     f"external predictions have {predictor.size} entries, "

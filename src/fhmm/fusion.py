@@ -57,16 +57,8 @@ class FusionNetwork:
     lr: float
 
     @property
-    def hidden_width(self) -> int:
-        return self.W.shape[1]
-
-    @property
     def n_inputs(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.w.shape[1]
 
 
 def encode(inp: FusionInput, k: int, n_obs: int) -> np.ndarray:
@@ -74,20 +66,12 @@ def encode(inp: FusionInput, k: int, n_obs: int) -> np.ndarray:
     preds = inp.hmm_preds
     if preds.size != k:
         raise DomainError(f"expected {k} predictions, got {preds.size}")
-    if (preds < 0).any() or (preds >= n_obs).any():
-        raise DomainError("prediction symbol out of range")
-    if not 0.0 <= inp.count <= 1.0:
-        raise DomainError("count must lie in [0, 1]")
-    x = np.zeros(k * n_obs + 1)
-    x[np.arange(k) * n_obs + preds] = 1.0
-    x[-1] = inp.count
-    return x
+    return encode_batch(preds.reshape(1, k), [inp.count], n_obs)[0]
 
 
 def encode_batch(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarray:
     """Vectorized encode for a (P, K) prediction matrix and (P,) counts."""
-    preds, counts = _checked_points(preds, counts, n_obs)
-    return _RowEncoder(preds, counts, n_obs)(slice(None))
+    return _encode_rows(*_checked_points(preds, counts, n_obs), n_obs)
 
 
 def _checked_points(preds, counts, n_obs: int):
@@ -135,46 +119,28 @@ def _set_columns(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarra
     return np.flatnonzero(seen)
 
 
-class _RowEncoder:
-    """encode_batch without the checks, for rows of a (P, K) matrix and its
-    counts already checked, into the input columns `cols` only and into one
-    buffer reused call after call.
+def _encode_rows(preds: np.ndarray, counts: np.ndarray, n_obs: int,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """The one-hot rows of a checked (P, K) matrix and its counts, in the
+    ascending input columns `cols` (all K*M+1 by default).
 
-    `cols` are ascending and hold every column some row sets, so the encoded
-    rows are the full-width rows with their never-set columns left out; by
-    default they are all K*M+1 columns, encode_batch's rows.  The buffer
-    grows to the largest call's rows and is then only rewritten: each call
-    clears the ones the previous call set, so no call allocates or
-    zero-fills a (rows, cols) matrix.  A call returns a C-contiguous view of
-    the buffer's leading rows, valid until the next call.
+    `cols` must hold every column some row sets, so the rows are the
+    full-width rows with their never-set columns left out.
     """
-
-    def __init__(self, preds: np.ndarray, counts: np.ndarray, n_obs: int,
-                 cols: np.ndarray | None = None):
-        width = preds.shape[1] * n_obs + 1
-        if cols is None:
-            cols = np.arange(width)
-        self.preds, self.counts = preds, counts
-        self.base = np.arange(preds.shape[1]) * n_obs
-        self.at = np.zeros(width, dtype=np.intp)   # column -> place in cols
-        self.at[cols] = np.arange(cols.size)
-        self.count = cols.size > 0 and cols[-1] == width - 1
-        self.X = np.zeros((0, cols.size))
-        self.ones = None                 # (rows, cols) the last call set
-
-    def __call__(self, idx) -> np.ndarray:
-        cols = self.at[self.base + self.preds[idx]]
-        n = cols.shape[0]
-        if n > self.X.shape[0]:
-            self.X = np.zeros((n, self.X.shape[1]))
-        elif self.ones is not None:
-            self.X[self.ones] = 0.0
-        self.ones = (np.arange(n)[:, None], cols)
-        X = self.X[:n]
-        X[self.ones] = 1.0
-        if self.count:
-            X[:, -1] = self.counts[idx]
-        return X
+    n, k = preds.shape
+    width = k * n_obs + 1
+    ones = np.arange(k) * n_obs + preds
+    if cols is None:
+        cols = np.arange(width)
+    else:
+        at = np.zeros(width, dtype=np.intp)      # column -> place in cols
+        at[cols] = np.arange(cols.size)
+        ones = at[ones]
+    X = np.zeros((n, cols.size))
+    X[np.arange(n)[:, None], ones] = 1.0
+    if cols.size and cols[-1] == width - 1:
+        X[:, -1] = counts
+    return X
 
 
 def init_network(
@@ -236,9 +202,9 @@ def fused_predictions(
     (P,) int64 array.
 
     Points are encoded PREDICT_BYTES // (8 * (K*M+1)) at a time (at least
-    one) into one reused buffer, so besides the result the working memory
-    does not grow with P: the buffer plus the chunk's hidden-layer arrays.
-    Only the input columns some point sets are encoded and multiplied.
+    one), so besides the result the working memory does not grow with P:
+    one chunk's inputs plus its hidden-layer arrays.  Only the input
+    columns some point sets are encoded and multiplied.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     width = preds.shape[1] * n_obs + 1
@@ -246,12 +212,14 @@ def fused_predictions(
         raise DomainError("input dimension mismatch")
     step = _chunk_rows(width)
     cols = _set_columns(preds, counts, n_obs)
-    encode = _RowEncoder(preds, counts, n_obs, cols)
     W = net.W[cols]
     out = np.empty(preds.shape[0], dtype=np.int64)
     for start in range(0, out.size, step):
         rows = slice(start, start + step)
-        out[rows] = np.argmax(_scores(net, encode(rows), W), axis=1)
+        # each chunk's inputs are freed before the next chunk's are made
+        X = _encode_rows(preds[rows], counts[rows], n_obs, cols)
+        out[rows] = np.argmax(_scores(net, X, W), axis=1)
+        del X
     return out
 
 
@@ -301,16 +269,15 @@ def train_fusion_points(
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    Each minibatch is encoded on its own into one reused buffer, so the
-    dense (P, K*M+1) input matrix is never built, and only into the input
-    columns some point sets, so no product multiplies a column that is zero
-    in every point.
+    Each minibatch is encoded on its own, so the dense (P, K*M+1) input
+    matrix is never built, and only into the input columns some point sets,
+    so no product multiplies a column that is zero in every point.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
     cols = _set_columns(preds, counts, n_obs)
     return _train(
-        _RowEncoder(preds, counts, n_obs, cols), cols,
+        lambda idx: _encode_rows(preds[idx], counts[idx], n_obs, cols), cols,
         preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
     )
 

@@ -315,8 +315,22 @@ def _check_fit_args(sequences, n_hidden: int, n_obs: int | None) -> int:
     return n_obs
 
 
-class _GroupPass:
-    """One E-step of groups of sequences, run together in one ragged layout.
+def _spans(offsets: list[int], n: int) -> list[tuple[int, int, int]]:
+    """(group, first row, end row) of each group's rows among the first n,
+    group g holding rows offsets[g] to offsets[g + 1]: the groups with such
+    rows lead, and each holds its rows below n."""
+    return [
+        (g, lo, min(hi, n))
+        for g, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        if lo < n
+    ]
+
+
+def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
+            pi: np.ndarray):
+    """Every group's EM statistics, with a leading group axis, and
+    log-likelihood, for groups of `sizes` sequences run together in one
+    ragged layout with one (A, B, pi) per group.
 
     Each group's rows are contiguous in the layout, and at step t group g
     holds rows offsets[g] to offsets[g] + running_g[t] of the rows still
@@ -325,160 +339,129 @@ class _GroupPass:
     lengths.  Elementwise work runs once per step over all running rows.
     The products with A run per group on the group's own running rows, at
     the shapes of a pass over that group alone, so each group's statistics
-    equal those of its own pass bit for bit.  A pass serves one E-step with
-    `A` (one matrix per group); the views each product reads and writes
-    are made at its step, so the buffers are all a pass holds.
+    equal those of its own pass bit for bit.  The views each product reads
+    and writes are made at its step, so the buffers are all a call holds.
+
+    The forward pass stores alpha time-major for the rows still running
+    (no padding), gathering each step's emissions as rows of the stacked
+    B.T straight into a row buffer, so no gather of the whole layout
+    exists.  A zero row sum, or one whose reciprocal overflows, shows
+    as an infinite scale factor: the pass runs with those warnings off,
+    and the first such factor raises DegenerateSequenceError at its
+    step before the backward pass.  The backward pass walks t downward,
+    starts beta at scale[t] for the rows that end at step t, overwrites
+    alpha with gamma and accumulates the expected transitions.
     """
-
-    def __init__(
-        self, layout: _Ragged, sizes: list[int], A: np.ndarray, n_obs: int
-    ):
-        G, N = A.shape[0], A.shape[2]
-        self.A = A
-        self.sizes = sizes
-        self.counts = counts = layout.running.tolist()
-        self.starts = layout.starts.tolist()
-        self.offsets = offsets = np.cumsum([0] + sizes).tolist()
-        ends = np.concatenate([[0], np.cumsum(layout.lengths)])
-        self.own_offsets = ends[offsets].tolist()
-        if G == 1:
-            # one group: the stored symbols are the rows of B.T and their
-            # order is the group's own
-            self.emission_rows, self.own = layout.obs, None
-        else:
-            row = np.arange(layout.obs.size) - np.repeat(
-                layout.starts[:-1], layout.running
-            )
-            group = np.repeat(np.arange(G), sizes)[row]
-            # each stored symbol's row of the stacked B.T, and its b_num bin
-            self.emission_rows = group * n_obs + layout.obs
-            # each group's symbols in its own layout's order, group after group
-            self.own = np.argsort(group, kind="stable")
-        self.alpha = np.empty((layout.obs.size, N))
-        self.scale = np.empty(layout.obs.size)
-        self.beta, self.emitted, self.back = np.empty((3, counts[0], N))
-        self.outer = np.empty((G, N, N))
-
-    def _spans(self, n: int) -> list[tuple[int, int, int]]:
-        """(group, first row, end row) of each group's rows among the first
-        n: the groups with such rows lead, and each holds its rows below n."""
-        offsets = self.offsets
-        return [
-            (g, lo, min(hi, n))
-            for g, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-            if lo < n
-        ]
-
-    def e_step(self, B: np.ndarray, pi: np.ndarray):
-        """Every group's EM statistics, with a leading group axis, and
-        log-likelihood.
-
-        The forward pass stores alpha time-major for the rows still running
-        (no padding), gathering each step's emissions as rows of the stacked
-        B.T straight into a row buffer, so no gather of the whole layout
-        exists.  A zero row sum, or one whose reciprocal overflows, shows
-        as an infinite scale factor: the pass runs with those warnings off,
-        and the first such factor raises DegenerateSequenceError at its
-        step before the backward pass.  The backward pass walks t downward,
-        starts beta at scale[t] for the rows that end at step t, overwrites
-        alpha with gamma and accumulates the expected transitions.
-        """
-        G, N, M = B.shape
-        A, alpha, scale = self.A, self.alpha, self.scale
-        rows = self.emission_rows
-        counts, starts = self.counts, self.starts
-        beta, emitted, back = self.beta, self.emitted, self.back
-        outer = self.outer
-        BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
-        # "clip" writes straight into `out`; "raise" would buffer the copy
-        take, row_sums = BT.take, np.add.reduce
-        n = counts[0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a = take(rows[:n], axis=0, out=alpha[:n], mode="clip")
-            a *= np.repeat(pi, self.sizes, axis=0)
-            np.divide(1.0, row_sums(a, axis=1), out=scale[:n])
-            a *= scale[:n, None]
-            for t in range(1, len(counts)):
-                p, q, n = starts[t - 1], starts[t], counts[t]
-                for g, lo, hi in self._spans(n):
-                    np.matmul(
-                        alpha[p + lo: p + hi], A[g], out=alpha[q + lo: q + hi]
-                    )
-                a, s = alpha[q: q + n], scale[q: q + n]
-                a *= take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
-                np.divide(1.0, row_sums(a, axis=1), out=s)
-                a *= s[:, None]
-        # NaN follows an infinite factor only in later steps of its row
-        if not scale.max() < np.inf:
-            first = np.flatnonzero(~(scale < np.inf))[0]
-            raise DegenerateSequenceError(
-                int(np.searchsorted(self.starts, first, side="right")) - 1
-            )
-
-        # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
-        T = len(counts)
-        beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
-        a_outer = np.zeros((G, N, N))
-        for t in range(T - 1, -1, -1):
-            q, n = starts[t], counts[t]
-            gamma, beta_t = alpha[q: q + n], beta[:n]
-            gamma *= beta_t
-            gamma /= scale[q: q + n, None]
-            if t == 0:
-                break
-            emitted_t = take(
-                rows[q: q + n], axis=0, out=emitted[:n], mode="clip"
-            )
-            emitted_t *= beta_t                      # b_j(o_t) * beta_t(j)
-            p, m = starts[t - 1], counts[t - 1]
-            spans = self._spans(n)
-            for g, lo, hi in spans:
-                np.matmul(
-                    alpha[p + lo: p + hi].T, emitted[lo:hi], out=outer[g]
-                )
-                np.matmul(emitted[lo:hi], A[g].T, out=back[lo:hi])
-            a_outer[:len(spans)] += outer[:len(spans)]
-            np.multiply(scale[p: p + n, None], back[:n], out=beta_t)
-            if m > n:                                # rows that end at t-1
-                beta[n:m] = scale[p + n: p + m, None]
-
-        # per-group sums at the group's own shapes: pi over its rows at t=0,
-        # and log-likelihood over its scale factors in its own layout's order
-        logs = scale.copy() if self.own is None else np.take(scale, self.own)
-        np.log(logs, out=logs)
-        stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
-        for g, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:])):
-            stats["pi"][g] = alpha[lo:hi].sum(axis=0)
-        ll = [
-            -float(logs[lo:hi].sum())
-            for lo, hi in zip(self.own_offsets, self.own_offsets[1:])
-        ]
-        stats["b_num"] = self._emission_counts(G, M, N)
-        # the M-step reads only whether a state's occupancy is positive, and
-        # a sum of non-negative terms is positive exactly when one of them is
-        stats["b_den"] = stats["b_num"].sum(axis=2)
-        return stats, ll
-
-    def _emission_counts(self, G: int, M: int, N: int) -> np.ndarray:
-        """b_num, (G, N, M): the gamma weights stored in alpha added into
-        the flat (G*M, N) bins of their symbols' rows of the stacked B.T.
-
-        np.add.at adds in index order, as a per-state weighted bincount
-        does, so each bin adds its weights in its group's row order.  It
-        runs over the entries of COUNT_ENTRIES // N symbols at a time, which
-        bounds the index.
-        """
-        counts = np.zeros(G * M * N)
-        weights = self.alpha.reshape(-1)
-        states = np.arange(N)
-        step = max(COUNT_ENTRIES // N, 1)
-        for lo in range(0, self.emission_rows.size, step):
-            bins = self.emission_rows[lo: lo + step, None] * N + states
-            hi = lo + bins.shape[0]
-            np.add.at(counts, bins.reshape(-1), weights[lo * N: hi * N])
-        return np.ascontiguousarray(
-            counts.reshape(G, M, N).transpose(0, 2, 1)
+    G, N, M = B.shape
+    counts = layout.running.tolist()
+    starts = layout.starts.tolist()
+    offsets = np.cumsum([0] + sizes).tolist()
+    ends = np.concatenate([[0], np.cumsum(layout.lengths)])
+    own_offsets = ends[offsets].tolist()
+    if G == 1:
+        # one group: the stored symbols are the rows of B.T and their order
+        # is the group's own
+        rows, own = layout.obs, None
+    else:
+        row = np.arange(layout.obs.size) - np.repeat(
+            layout.starts[:-1], layout.running
         )
+        group = np.repeat(np.arange(G), sizes)[row]
+        # each stored symbol's row of the stacked B.T, and its b_num bin
+        rows = group * M + layout.obs
+        # each group's symbols in its own layout's order, group after group
+        own = np.argsort(group, kind="stable")
+        del row, group
+    alpha = np.empty((layout.obs.size, N))
+    scale = np.empty(layout.obs.size)
+    beta, emitted, back = np.empty((3, counts[0], N))
+    outer = np.empty((G, N, N))
+    BT = np.ascontiguousarray(B.transpose(0, 2, 1)).reshape(G * M, N)
+    # "clip" writes straight into `out`; "raise" would buffer the copy
+    take, row_sums = BT.take, np.add.reduce
+    n = counts[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = take(rows[:n], axis=0, out=alpha[:n], mode="clip")
+        a *= np.repeat(pi, sizes, axis=0)
+        np.divide(1.0, row_sums(a, axis=1), out=scale[:n])
+        a *= scale[:n, None]
+        for t in range(1, len(counts)):
+            p, q, n = starts[t - 1], starts[t], counts[t]
+            for g, lo, hi in _spans(offsets, n):
+                np.matmul(
+                    alpha[p + lo: p + hi], A[g], out=alpha[q + lo: q + hi]
+                )
+            a, s = alpha[q: q + n], scale[q: q + n]
+            a *= take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
+            np.divide(1.0, row_sums(a, axis=1), out=s)
+            a *= s[:, None]
+    # NaN follows an infinite factor only in later steps of its row
+    if not scale.max() < np.inf:
+        first = np.flatnonzero(~(scale < np.inf))[0]
+        raise DegenerateSequenceError(
+            int(np.searchsorted(starts, first, side="right")) - 1
+        )
+
+    # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
+    T = len(counts)
+    beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
+    a_outer = np.zeros((G, N, N))
+    for t in range(T - 1, -1, -1):
+        q, n = starts[t], counts[t]
+        gamma, beta_t = alpha[q: q + n], beta[:n]
+        gamma *= beta_t
+        gamma /= scale[q: q + n, None]
+        if t == 0:
+            break
+        emitted_t = take(rows[q: q + n], axis=0, out=emitted[:n], mode="clip")
+        emitted_t *= beta_t                          # b_j(o_t) * beta_t(j)
+        p, m = starts[t - 1], counts[t - 1]
+        spans = _spans(offsets, n)
+        for g, lo, hi in spans:
+            np.matmul(alpha[p + lo: p + hi].T, emitted[lo:hi], out=outer[g])
+            np.matmul(emitted[lo:hi], A[g].T, out=back[lo:hi])
+        a_outer[:len(spans)] += outer[:len(spans)]
+        np.multiply(scale[p: p + n, None], back[:n], out=beta_t)
+        if m > n:                                    # rows that end at t-1
+            beta[n:m] = scale[p + n: p + m, None]
+
+    # per-group sums at the group's own shapes: pi over its rows at t=0,
+    # and log-likelihood over its scale factors in its own layout's order
+    logs = scale if own is None else np.take(scale, own)
+    np.log(logs, out=logs)
+    stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
+    for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        stats["pi"][g] = alpha[lo:hi].sum(axis=0)
+    ll = [
+        -float(logs[lo:hi].sum())
+        for lo, hi in zip(own_offsets, own_offsets[1:])
+    ]
+    stats["b_num"] = _emission_counts(rows, alpha, G, M)
+    # the M-step reads only whether a state's occupancy is positive, and
+    # a sum of non-negative terms is positive exactly when one of them is
+    stats["b_den"] = stats["b_num"].sum(axis=2)
+    return stats, ll
+
+
+def _emission_counts(rows: np.ndarray, gamma: np.ndarray, G: int,
+                     M: int) -> np.ndarray:
+    """b_num, (G, N, M): the (len(rows), N) weights `gamma` added into the
+    flat (G*M, N) bins of their symbols' rows of the stacked B.T.
+
+    np.add.at adds in index order, as a per-state weighted bincount does,
+    so each bin adds its weights in row order.  It runs over the entries of
+    COUNT_ENTRIES // N symbols at a time, which bounds the index.
+    """
+    N = gamma.shape[1]
+    counts = np.zeros(G * M * N)
+    weights = gamma.reshape(-1)
+    states = np.arange(N)
+    step = max(COUNT_ENTRIES // N, 1)
+    for lo in range(0, rows.size, step):
+        bins = rows[lo: lo + step, None] * N + states
+        hi = lo + bins.shape[0]
+        np.add.at(counts, bins.reshape(-1), weights[lo * N: hi * N])
+    return np.ascontiguousarray(counts.reshape(G, M, N).transpose(0, 2, 1))
 
 
 def _passes(groups: list[list[np.ndarray]]) -> list[tuple]:
@@ -517,7 +500,7 @@ def _baum_welch(
     converges or reaches `max_iters`.  A group adds its statistics and
     log-likelihood over its passes in pass order, from 0.0; they do not
     depend on the other groups in a pass.  Layouts are rebuilt only when a
-    group leaves; each pass's `_GroupPass` is built, run and freed in turn.
+    group leaves; each pass's `_e_step` buffers are made and freed in turn.
     """
     inits = [random_model(n_hidden, n_obs, seed) for seed in seeds]
     if max_iters < 1:
@@ -533,9 +516,9 @@ def _baum_welch(
         stats, lls = {}, np.zeros(len(live))
         for layout, sizes, lo in passes:
             hi = lo + len(sizes)
-            pass_stats, pass_lls = _GroupPass(
-                layout, sizes, A[lo:hi], n_obs
-            ).e_step(B[lo:hi], pi[lo:hi])
+            pass_stats, pass_lls = _e_step(
+                layout, sizes, A[lo:hi], B[lo:hi], pi[lo:hi]
+            )
             for name, value in pass_stats.items():
                 stats.setdefault(name, np.zeros((len(live), *value.shape[1:])))
                 stats[name][lo:hi] += value

@@ -269,6 +269,31 @@ class TestCli:
         assert err.startswith("error: external prediction outside")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["abc\n", "1.5\n"])
+    def test_evaluate_malformed_external_file_exits_2(
+        self, tmp_path, small_sessions_file, config_file, capsys, text
+    ):
+        model_dir = tmp_path / "model"
+        main([
+            "train", "--sessions", str(small_sessions_file),
+            "--out", str(model_dir), "--config", str(config_file),
+        ])
+        ext_path = tmp_path / "external.txt"
+        ext_path.write_text(text)
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--model", str(model_dir),
+            "--sessions", str(small_sessions_file),
+            "--out", str(tmp_path / "rep"), "--config", str(config_file),
+            "--external", str(ext_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: malformed external predictions in {ext_path}"
+        )
+        assert "Traceback" not in err
+
     def test_evaluate_external_target_outside_the_config_exits_2(
         self, tmp_path, small_sessions_file, config_file, capsys
     ):

@@ -495,6 +495,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(np.array([1, 0]), sessions, stride=1, n_obs=2)
 
+    def test_external_predictions_must_be_one_dimensional(self):
+        sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
+        # the right number of entries, in the wrong shape
+        for external in (np.array([[1, 0, 0]]), np.array([[1], [0], [0]])):
+            with pytest.raises(DomainError, match="must be a 1-D array"):
+                evaluate(external, sessions, stride=1, n_obs=2)
+
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_external_predictions_outside_the_alphabet(self, bad):
         sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]

@@ -70,18 +70,32 @@ class TestEncode:
                 X[i], encode(FusionInput(preds[i], counts[i]), 3, 4)
             )
 
-    def test_reused_buffer_matches_fresh_encoding(self):
-        # calls that shrink, grow past the buffer and shrink again: each must
-        # leave no one of an earlier call behind
+    @pytest.mark.parametrize(
+        "with_count", [True, False], ids=["with-count", "without-count"]
+    )
+    def test_compact_rows_are_the_set_columns_of_the_batch(self, with_count):
+        # any subset of rows, the empty one included, encoded into the
+        # columns some row sets; without a nonzero count the count column
+        # is not among them
         rng = np.random.default_rng(1)
         preds = rng.integers(0, 4, size=(40, 3)).astype(np.uint8)
-        counts = rng.random(40)
-        encoder = fusion._RowEncoder(preds, counts, 4)
+        counts = rng.random(40) if with_count else np.zeros(40)
+        cols = fusion._set_columns(preds, counts, 4)
+        assert (cols[-1] == 3 * 4) == with_count
         for idx in ([3, 1, 4, 1, 5], [9, 2], np.arange(40)[::-1], [7], []):
+            idx = np.asarray(idx, dtype=np.int64)
             np.testing.assert_array_equal(
-                encoder(np.asarray(idx, dtype=np.int64)),
-                encode_batch(preds[idx], counts[idx], 4),
+                fusion._encode_rows(preds[idx], counts[idx], 4, cols),
+                encode_batch(preds[idx], counts[idx], 4)[:, cols],
             )
+
+    def test_rejects_a_wrong_k_a_negative_symbol_and_a_nan_count(self):
+        with pytest.raises(DomainError, match="expected 2 predictions, got 3"):
+            encode(FusionInput([0, 1, 2], 0.5), k=2, n_obs=3)
+        with pytest.raises(DomainError, match="prediction symbol"):
+            encode(FusionInput([0, -1], 0.5), k=2, n_obs=3)
+        with pytest.raises(DomainError, match="count"):
+            encode(FusionInput([0, 1], float("nan")), k=2, n_obs=3)
 
     def test_batch_rejects_what_single_rejects(self):
         # a 3 once landed in the next block and a -1 in the count column

@@ -306,11 +306,10 @@ class TestEStep:
         ]
         models = [random_model(n, m, seed=seed + g) for g in range(len(groups))]
         stack = stack_models(models)
-        gp = hmm._GroupPass(
+        stats, lls = hmm._e_step(
             hmm._ragged([s for g in groups for s in g]),
-            [len(g) for g in groups], stack.A, m,
+            [len(g) for g in groups], stack.A, stack.B, stack.pi,
         )
-        stats, lls = gp.e_step(stack.B, stack.pi)
         for g, (model, seqs) in enumerate(zip(models, groups)):
             assert_matches_forward_backward(
                 model, seqs, {name: v[g] for name, v in stats.items()}, lls[g]
@@ -330,10 +329,10 @@ class TestEStep:
             rng.integers(0, m, size=t)
             for t in rng.permutation(lengths * repeats)
         ]
-        gp = hmm._GroupPass(
-            hmm._ragged(seqs), [len(seqs)], model.A[None], m
+        stats, lls = hmm._e_step(
+            hmm._ragged(seqs), [len(seqs)], model.A[None], model.B[None],
+            model.pi[None],
         )
-        stats, lls = gp.e_step(model.B[None], model.pi[None])
         assert_matches_forward_backward(
             model, seqs, {name: v[0] for name, v in stats.items()}, lls[0]
         )
@@ -402,38 +401,21 @@ class TestEStep:
         assert [len(p[0].lengths) for p in hmm._passes(groups)] == [15]
 
     @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
-    @pytest.mark.parametrize(
-        "shapes", [[], [(9, 4), (9, 2), (6, 5), (1, 3)]],
-        ids=["one-group", "four-groups"],
-    )
-    def test_emission_counts_equal_per_state_bincounts(self, shapes, chunk):
-        # without shapes, one group of mixed lengths; at 35 entries the
-        # counts run over chunks of 7 symbols, the last one short
+    @pytest.mark.parametrize("G", [1, 4], ids=["one-group", "four-groups"])
+    def test_emission_counts_equal_per_state_bincounts(self, G, chunk):
+        # random weights into random bins of G stacked B.T, in no order; at
+        # 35 entries the counts run over chunks of 7 symbols, the last one
+        # short
         rng = np.random.default_rng(4)
         n, m = 5, 6
-        if shapes:
-            groups = [
-                [rng.integers(0, m, size=t) for _ in range(size)]
-                for t, size in shapes
-            ]
-        else:
-            groups = [[rng.integers(0, m, size=t) for t in range(1, 30)]]
-        stack = stack_models(
-            [random_model(n, m, seed=g) for g in range(len(groups))]
-        )
-        gp = hmm._GroupPass(
-            hmm._ragged([s for g in groups for s in g]),
-            [len(g) for g in groups], stack.A, m,
-        )
-        assert gp.emission_rows.size % 7 and gp.emission_rows.size > 4 * 7
+        rows = rng.integers(0, G * m, size=200)
+        gamma = rng.random((rows.size, n))
+        assert rows.size % 7
         with mock.patch.object(hmm, "COUNT_ENTRIES", chunk):
-            stats, _ = gp.e_step(stack.B, stack.pi)
-        # after the pass alpha holds gamma, the weights the counts add
-        want = oracles.emission_counts(
-            gp.emission_rows, gp.alpha, len(groups) * m
-        )
+            got = hmm._emission_counts(rows, gamma, G, m)
+        want = oracles.emission_counts(rows, gamma, G * m)
         np.testing.assert_array_equal(
-            stats["b_num"], want.reshape(n, len(groups), m).transpose(1, 0, 2)
+            got, want.reshape(n, G, m).transpose(1, 0, 2)
         )
 
 
