@@ -419,10 +419,10 @@ def evaluate(
     """Next-state accuracy of any supported predictor over the test sessions.
 
     `predictor` may be an EnsembleModel, HmmModel, MarkovChainModel or a
-    1-D array of externally produced predictions aligned to the canonical
-    point order; any other type or array shape raises DomainError, and so
-    do a session shorter than 2, a session symbol or an external prediction
-    outside [0, n_obs).
+    1-D integer array of externally produced predictions aligned to the
+    canonical point order; any other type, array shape or dtype raises
+    DomainError, and so do a session shorter than 2, a session symbol or an
+    external prediction outside [0, n_obs).
     `n_obs` is the model's; for external predictions it defaults to one
     more than the largest prediction or session symbol.
     """
@@ -467,6 +467,12 @@ def evaluate(
                 raise DomainError(
                     f"external predictions have {predictor.size} entries, "
                     f"expected {targets.size}"
+                )
+            # a float or bool array would be truncated into symbols
+            if not np.issubdtype(predictor.dtype, np.integer):
+                raise DomainError(
+                    f"external predictions must be integers, got dtype "
+                    f"{predictor.dtype}"
                 )
             predictions = predictor.astype(np.int64)
             if n_obs is None:

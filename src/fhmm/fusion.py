@@ -120,9 +120,11 @@ def _set_columns(preds: np.ndarray, counts: np.ndarray, n_obs: int) -> np.ndarra
 
 
 def _encode_rows(preds: np.ndarray, counts: np.ndarray, n_obs: int,
-                 cols: np.ndarray | None = None) -> np.ndarray:
+                 cols: np.ndarray | None = None,
+                 dtype=np.float64) -> np.ndarray:
     """The one-hot rows of a checked (P, K) matrix and its counts, in the
-    ascending input columns `cols` (all K*M+1 by default).
+    ascending input columns `cols` (all K*M+1 by default), as a `dtype`
+    array.
 
     `cols` must hold every column some row sets, so the rows are the
     full-width rows with their never-set columns left out.
@@ -136,7 +138,7 @@ def _encode_rows(preds: np.ndarray, counts: np.ndarray, n_obs: int,
         at = np.zeros(width, dtype=np.intp)      # column -> place in cols
         at[cols] = np.arange(cols.size)
         ones = at[ones]
-    X = np.zeros((n, cols.size))
+    X = np.zeros((n, cols.size), dtype=dtype)
     X[np.arange(n)[:, None], ones] = 1.0
     if cols.size and cols[-1] == width - 1:
         X[:, -1] = counts
@@ -277,8 +279,10 @@ def train_fusion_points(
     targets = _checked_targets(targets, n_obs, preds.shape[0])
     cols = _set_columns(preds, counts, n_obs)
     return _train(
-        lambda idx: _encode_rows(preds[idx], counts[idx], n_obs, cols), cols,
-        preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
+        lambda idx: _encode_rows(
+            preds[idx], counts[idx], n_obs, cols, np.float32
+        ),
+        cols, preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
     )
 
 
@@ -289,22 +293,29 @@ def train_fusion_arrays(
     targets = _checked_targets(targets, n_obs, X.shape[0])
     cols = np.flatnonzero(X.any(axis=0))
     return _train(
-        lambda idx: X[np.ix_(idx, cols)], cols, X.shape[1], targets, n_obs,
-        hyper,
+        lambda idx: X[np.ix_(idx, cols)].astype(np.float32), cols, X.shape[1],
+        targets, n_obs, hyper,
     )
 
 
 def _train(rows, cols: np.ndarray, n_inputs: int, targets: np.ndarray,
            n_obs: int, hyper: FusionHyper) -> tuple[FusionNetwork, list[float]]:
-    """The training loop; `rows(idx)` gives the inputs of points idx in the
-    columns `cols`, C-contiguous, and every other column is zero in every
-    point.  Each minibatch's one-hot targets are rows of an identity matrix."""
+    """The training loop; `rows(idx)` gives the float32 inputs of points idx
+    in the columns `cols`, C-contiguous, and every other column is zero in
+    every point.  Each minibatch's one-hot targets are rows of an identity
+    matrix.
+
+    The steps run in float32: the initial network is rounded once, and
+    numpy keeps float32 when the arrays are scaled by Python floats.  The
+    returned weights are float64 arrays that hold the float32 values
+    exactly, so what is saved, loaded and predicted with stays float64.
+    """
     hyper.validate()
     n = targets.size
     if n == 0:
         raise DomainError("need at least one training example")
-    eye = np.eye(n_obs)
-    net = init_network(n_inputs, n_obs, hyper)
+    eye = np.eye(n_obs, dtype=np.float32)
+    net = _cast(init_network(n_inputs, n_obs, hyper), np.float32)
     rng = np.random.default_rng(hyper.seed + 1)
     trace: list[float] = []
     for epoch in range(hyper.epochs):
@@ -317,13 +328,22 @@ def _train(rows, cols: np.ndarray, n_inputs: int, targets: np.ndarray,
             )
             if not np.isfinite(cost):
                 raise TrainingDivergedError(epoch)
-            net.W -= hyper.lr * grads["W"]
-            net.c -= hyper.lr * grads["c"]
-            net.w -= hyper.lr * grads["w"]
-            net.b -= hyper.lr * grads["b"]
+            net.W -= net.lr * grads["W"]
+            net.c -= net.lr * grads["c"]
+            net.w -= net.lr * grads["w"]
+            net.b -= net.lr * grads["b"]
             epoch_costs.append(cost)
         trace.append(float(np.mean(epoch_costs)))
-    return net, trace
+    return _cast(net, np.float64), trace
+
+
+def _cast(net: FusionNetwork, dtype) -> FusionNetwork:
+    """`net` with its weights as `dtype` arrays and its rates as Python
+    floats, which scale an array without changing its dtype."""
+    return FusionNetwork(
+        W=net.W.astype(dtype), c=net.c.astype(dtype), w=net.w.astype(dtype),
+        b=net.b.astype(dtype), l2=float(net.l2), lr=float(net.lr),
+    )
 
 
 # ---------------------------------------------------------------------------

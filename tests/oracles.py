@@ -206,3 +206,61 @@ def stacked_alpha_loop(A, B, pi, obs) -> np.ndarray:
     for t in range(1, len(obs)):
         a = normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
     return a
+
+
+def fusion_inputs(preds, counts, n_obs: int) -> np.ndarray:
+    """(P, K*n_obs+1) float64 rows: K one-hot blocks, then the count."""
+    p, k = np.shape(preds)
+    X = np.zeros((p, k * n_obs + 1))
+    for row in range(p):
+        for model in range(k):
+            X[row, model * n_obs + int(preds[row][model])] = 1.0
+        X[row, -1] = counts[row]
+    return X
+
+
+def train_fusion_float64(preds, counts, targets, n_obs: int, hyper):
+    """Fusion's minibatch SGD in float64 over the dense one-hot inputs,
+    written out step by step: the same initial draw, minibatch order and
+    quadratic cost with L2 as the library's float32 loop.  Returns the
+    weights (W, c, w, b) and the per-epoch mean cost."""
+    X = fusion_inputs(preds, counts, n_obs)
+    p, n_inputs = X.shape
+    Y = one_hot_targets(targets, n_obs)
+    rng = np.random.default_rng(hyper.seed)
+    h = hyper.hidden_width
+    W = rng.uniform(-1.0 / math.sqrt(n_inputs), 1.0 / math.sqrt(n_inputs),
+                    size=(n_inputs, h))
+    w = rng.uniform(-1.0 / math.sqrt(h), 1.0 / math.sqrt(h), size=(h, n_obs))
+    c, b = np.zeros(h), np.zeros(n_obs)
+    rng = np.random.default_rng(hyper.seed + 1)
+    trace = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(p)
+        costs = []
+        for start in range(0, p, hyper.batch):
+            idx = order[start : start + hyper.batch]
+            x, y = X[idx], Y[idx]
+            z = x @ W + c
+            hidden = np.maximum(z, 0.0)
+            diff = hidden @ w + b - y
+            costs.append(
+                (diff ** 2).sum() / (2.0 * idx.size)
+                + 0.5 * hyper.l2 * ((W ** 2).sum() + (w ** 2).sum())
+            )
+            dout = diff / idx.size
+            dz = (dout @ w.T) * (z > 0.0)
+            W = W - hyper.lr * (x.T @ dz + hyper.l2 * W)
+            c = c - hyper.lr * dz.sum(axis=0)
+            w = w - hyper.lr * (hidden.T @ dout + hyper.l2 * w)
+            b = b - hyper.lr * dout.sum(axis=0)
+        trace.append(float(np.mean(costs)))
+    return (W, c, w, b), trace
+
+
+def fused_argmax(weights, preds, counts, n_obs: int) -> np.ndarray:
+    """The fused prediction at every point under the weights (W, c, w, b),
+    in float64 from dense one-hot inputs."""
+    W, c, w, b = weights
+    X = fusion_inputs(preds, counts, n_obs)
+    return np.argmax(np.maximum(X @ W + c, 0.0) @ w + b, axis=1)

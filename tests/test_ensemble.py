@@ -490,8 +490,11 @@ class TestEvaluate:
     def test_external_predictions_array(self):
         sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
         external = np.array([1, 0, 0])   # canonical order: x@1, x@2, y@1
-        report = evaluate(external, sessions, stride=1, n_obs=2)
-        assert report.overall_accuracy == 1.0
+        # integers of any width
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64):
+            report = evaluate(external.astype(dtype), sessions, stride=1,
+                              n_obs=2)
+            assert report.overall_accuracy == 1.0
         with pytest.raises(DomainError):
             evaluate(np.array([1, 0]), sessions, stride=1, n_obs=2)
 
@@ -501,6 +504,17 @@ class TestEvaluate:
         for external in (np.array([[1, 0, 0]]), np.array([[1], [0], [0]])):
             with pytest.raises(DomainError, match="must be a 1-D array"):
                 evaluate(external, sessions, stride=1, n_obs=2)
+
+    @pytest.mark.parametrize("external", [
+        np.array([1.7, 0.2, 0.9]), np.array([True, False, False]),
+    ])
+    def test_external_predictions_must_be_integers(self, external):
+        # truncated to int64, either array would score 1.0
+        sessions = [make_seq([0, 1, 0], "x"), make_seq([1, 0], "y")]
+        with pytest.raises(DomainError, match="must be integers"):
+            evaluate(external, sessions, stride=1, n_obs=2)
+        with pytest.raises(DomainError, match="must be integers"):
+            evaluate(external, sessions, stride=1)
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_external_predictions_outside_the_alphabet(self, bad):
@@ -687,6 +701,34 @@ class TestSerializationAndReports:
             assert (tmp_path / "model" / name).read_bytes() == (
                 tmp_path / "model2" / name
             ).read_bytes()
+
+    def test_float32_trained_fusion_reloads_exactly(self, small_ensemble,
+                                                     tmp_path):
+        # fusion trains in float32 and keeps float64 arrays of its values,
+        # so the 17-digit fusion.json loads back the same weights
+        corpus, _, model = small_ensemble
+        for name in ("W", "c", "w", "b"):
+            weights = getattr(model.fusion, name)
+            assert weights.dtype == np.float64
+            assert np.array_equal(
+                weights.astype(np.float32).astype(np.float64), weights
+            )
+        save_ensemble(model, tmp_path / "model")
+        loaded = load_ensemble(tmp_path / "model")
+        sessions = corpus.sessions[:60]
+        a = evaluate(model, sessions, stride=1)
+        b = evaluate(loaded, sessions, stride=1)
+        assert a.overall_accuracy == b.overall_accuracy
+        assert a.per_model_accuracy == b.per_model_accuracy
+        np.testing.assert_array_equal(a.confusion, b.confusion)
+        np.testing.assert_array_equal(a.per_state_accuracy,
+                                      b.per_state_accuracy)
+        for s in sessions[:10]:
+            for t in range(1, len(s)):
+                prefix = StateSequence(s.symbols[:t])
+                assert predict(model, prefix).symbol == predict(
+                    loaded, prefix
+                ).symbol
 
     @pytest.mark.parametrize("loss", ["quadratic", "cross_entropy"])
     def test_fusion_file_with_a_loss_key_loads(self, small_ensemble,
