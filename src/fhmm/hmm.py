@@ -8,16 +8,16 @@ one model per single-length group (`fit_groups`); its E-step runs in
 passes of at least BLOCK_SYMBOLS symbols, cut only where the length or
 the group changes (`_passes`).
 
-Layouts: one sequence's forward pass and the Baum-Welch E-step hold alpha
-with states last, (steps, N).  The stacked prediction pass behind stage 2
-and evaluation (`predict_points`) holds it state-major, (K, N, rows), so
-its per-step work runs along contiguous rows of sequences; it adds the
-states in numpy's summation order, so that its predictions are those of
-the one-sequence pass (`predict_next`).  Online prediction of one prefix
-(`predict_next_all`) holds the K models' alpha states last, (K, N), and
-runs each step as four ufunc calls into buffers made once per call,
-multiplying by one contiguous (K, N) row of the symbol-major emissions
-(M, K, N) of `ModelStack`.
+Three forward passes: the Baum-Welch E-step holds alpha states last,
+(steps, N).  The stacked pass behind stage 2 and evaluation
+(`predict_points`) holds it state-major, (K, N, rows), so each step runs
+along contiguous rows of sequences, and adds the states in numpy's order,
+so that it predicts as the one-sequence step does.  That step
+(`_stacked_alpha`) runs K models over one sequence, alpha (K, N), as four
+ufunc calls per step into buffers made once per call, reading one (K, N)
+row of the symbol-major emissions of `ModelStack`.  `predict_next_all`
+runs it on K models; `score`, `predict_next` and `forward_backward` on
+one, and only `forward_backward` keeps every step's alpha.
 
 Scaling convention (fixed for the whole package): at each step t the scale
 factor is the reciprocal of the unscaled forward row sum, alpha rows are
@@ -28,6 +28,7 @@ log P(O|lambda) = -sum_t log(scale[t]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -157,56 +158,35 @@ def _floor_rows(weights: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _forward(model: HmmModel, obs: np.ndarray):
-    """Scaled forward pass.  Returns (alpha, scale, log_likelihood)."""
-    T = obs.size
-    N = model.n_hidden
-    alpha = np.empty((T, N))
-    sums = np.empty(T)
-    a = model.pi * model.B[:, obs[0]]
-    s = a.sum()
-    if s <= 0.0:
-        raise DegenerateSequenceError(0)
-    sums[0] = s
-    alpha[0] = a / s
-    for t in range(1, T):
-        a = (alpha[t - 1] @ model.A) * model.B[:, obs[t]]
-        s = a.sum()
-        if s <= 0.0:
-            raise DegenerateSequenceError(t)
-        # divided, not multiplied by scale[t]: the rounding of the stacked
-        # prediction passes, so every path predicts the same symbol
-        sums[t] = s
-        alpha[t] = a / s
-    subnormal = sums < _TINY
-    if not subnormal.any():
-        scale = 1.0 / sums
-        return alpha, scale, -float(np.log(scale).sum())
-    # a subnormal row sum's reciprocal may overflow to inf: it adds its own
-    # log instead, and the normal ones the log of their reciprocals as above
+def _log_likelihood(sums: np.ndarray) -> float:
+    """log P(O|lambda) = -sum_t log(scale[t]) from the unscaled forward row
+    sums, scale[t] = 1 / sums[t].  A subnormal sum's reciprocal may
+    overflow to inf, so it adds its own log instead."""
     with np.errstate(over="ignore"):
-        scale = 1.0 / sums
-    log_scale = np.log(scale)
+        log_scale = np.log(1.0 / sums)
+    subnormal = sums < _TINY
     log_scale[subnormal] = -np.log(sums[subnormal])
-    return alpha, scale, -float(log_scale.sum())
+    return -float(log_scale.sum())
 
 
 def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWorkspace:
-    """Full scaled forward-backward with posteriors for one sequence.
+    """Full scaled forward-backward with posteriors for one sequence, its
+    forward pass the one-model `_stacked_alpha` with every step's alpha.
 
     Raises DegenerateSequenceError at the first step whose unscaled row sum
     is zero or subnormal, where `score` still returns a finite value.
     """
     check_symbols(seq, model.n_obs)
     obs = seq.symbols
-    T = obs.size
-    N = model.n_hidden
-    alpha, scale, ll = _forward(model, obs)
+    H, S = _stacked_alpha(stack_models([model]), obs, history=True)
+    alpha, sums = H[:, 0], S[:, 0, 0]
+    T, N = alpha.shape
     # a subnormal row sum's reciprocal exceeds 1/tiny and may overflow, and
     # beta, gamma and digamma with it: the sequence is degenerate there
-    subnormal = np.flatnonzero(scale > 1.0 / _TINY)
+    subnormal = np.flatnonzero(sums < _TINY)
     if subnormal.size:
         raise DegenerateSequenceError(int(subnormal[0]))
+    scale = 1.0 / sums
 
     beta = np.empty((T, N))
     beta[T - 1] = scale[T - 1]
@@ -222,14 +202,16 @@ def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWork
         )[None, :]
     return ForwardBackwardWorkspace(
         alpha=alpha, beta=beta, scale=scale, gamma=gamma,
-        digamma=digamma, log_likelihood=ll,
+        digamma=digamma, log_likelihood=_log_likelihood(sums),
     )
 
 
 def score(model: HmmModel, seq: StateSequence) -> float:
-    """log P(O|lambda) via the scaled forward pass only."""
+    """log P(O|lambda) from the row sums of the one-model `_stacked_alpha`,
+    which keeps no alpha history."""
     check_symbols(seq, model.n_obs)
-    return _forward(model, seq.symbols)[2]
+    _, S = _stacked_alpha(stack_models([model]), seq.symbols)
+    return _log_likelihood(S[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +581,17 @@ def fit_converged(trace: list[float], tol: float = DEFAULT_TOL) -> bool:
 def predict_next(model: HmmModel, prefix: StateSequence) -> tuple[int, np.ndarray]:
     """Most likely next symbol after `prefix`, with per-candidate scores.
 
-    scores[k] = log P(prefix + [k] | lambda), computed as one forward
-    extension of the prefix rather than M full rescoring passes.  The symbol
-    is the argmax of the next-symbol probabilities, as in `predict_points`;
-    ties go to the lowest symbol index.
+    scores[k] = log P(prefix + [k] | lambda), one forward extension of the
+    prefix (the one-model `_stacked_alpha`, without history) rather than M
+    rescoring passes.  The symbol is the argmax of the next-symbol
+    probabilities, as in `predict_next_all`; ties go to the lowest index.
     """
     check_symbols(prefix, model.n_obs)
-    alpha, _, ll = _forward(model, prefix.symbols)
-    pred = alpha[-1] @ model.A
-    probs = pred @ model.B
+    stack = stack_models([model])
+    H, S = _stacked_alpha(stack, prefix.symbols)
+    probs = _next_symbol_probs(stack, H[-1])[0, 0]
     with np.errstate(divide="ignore"):
-        scores = ll + np.log(probs)
+        scores = _log_likelihood(S[:, 0, 0]) + np.log(probs)
     return int(np.argmax(probs)), scores
 
 
@@ -647,11 +629,12 @@ def stack_models(models: list[HmmModel]) -> ModelStack:
         raise DomainError(
             f"models of different (n_hidden, n_obs) shapes: {sorted(shapes)}"
         )
-    B = np.stack([m.B for m in models])
+    # np.array: np.stack's copies at a fifth of its cost per call
+    B = np.array([m.B for m in models])
     return ModelStack(
-        np.stack([m.A for m in models]), B,
+        np.array([m.A for m in models]), B,
         np.ascontiguousarray(B.transpose(2, 0, 1)),
-        np.stack([m.pi for m in models]),
+        np.array([m.pi for m in models]),
     )
 
 
@@ -771,42 +754,52 @@ def predict_points(
     return out
 
 
-def _stacked_alpha(stack: ModelStack, obs: np.ndarray) -> np.ndarray:
-    """The normalized forward rows (K, N) of every stacked model after the
-    symbols `obs`.
+def _stacked_alpha(stack: ModelStack, obs: np.ndarray,
+                   history: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S): every stacked model's normalized forward rows H and unscaled
+    row sums S (T, K, 1) over the T steps of `obs`.  H holds every step's
+    alpha, (T, K, N), with `history`, else only the last, (1, K, N).
 
     Each step is four ufunc calls into buffers made once per call: the
-    transition product of alpha as (K, 1, N) with A, its product with the
-    (K, N) emissions E[obs[t]], the row sums into S[t] and the division by
-    them.  A zero row sum at step t turns that model's row into NaN from
-    then on, so the first step whose sums are not all positive is the step
-    that raises DegenerateSequenceError.
+    previous alpha as (K, 1, N) times A, times the (K, N) emissions
+    E[obs[t]], the row sums into S[t] and the division by them.  A zero row
+    sum turns that model's row into NaN from then on, so the first step
+    whose sums are not all positive raises DegenerateSequenceError.
     """
     A, pi = stack.A, stack.pi
-    rows = list(stack.E)
-    symbols = obs.tolist()
-    a = np.empty(pi.shape)
-    prod = np.empty((pi.shape[0], 1, pi.shape[1]))
-    S = np.empty((len(symbols), pi.shape[0], 1))
-    a3, p = a[:, None, :], prod[:, 0]
+    (K, N), T = pi.shape, obs.size
+    rows, symbols = list(stack.E), obs.tolist()
+    H = np.empty((T if history else 1, K, N))
+    prod, S = np.empty((K, 1, N)), np.empty((T, K, 1))
+    # step t reads alpha t-1 as (K, 1, N) and writes alpha t
+    prevs, outs = H[:, :, None, :], H[1:]
+    if not history:
+        prevs, outs = repeat(prevs[0]), repeat(H[0])
+    p = prod[:, 0]
     # positional arguments, (in, ..., out) and add.reduce's (a, axis,
     # dtype, out, keepdims): keywords cost more than the arithmetic here
     matmul, multiply, divide, row_sums = (
         np.matmul, np.multiply, np.divide, np.add.reduce
     )
     with np.errstate(divide="ignore", invalid="ignore"):
+        a = H[0]
         multiply(pi, rows[symbols[0]], a)
         row_sums(a, -1, None, S[0], True)
         divide(a, S[0], a)
-        for s, o in zip(S[1:], symbols[1:]):
-            matmul(a3, A, prod)
+        for prev, a, s, o in zip(prevs, outs, S[1:], symbols[1:]):
+            matmul(prev, A, prod)
             multiply(p, rows[o], a)
             row_sums(a, -1, None, s, True)
             divide(a, s, a)
     bad = ~(S > 0).all(axis=(1, 2))
     if bad.any():
         raise DegenerateSequenceError(int(bad.argmax()))
-    return a
+    return H, S
+
+
+def _next_symbol_probs(stack: ModelStack, a: np.ndarray) -> np.ndarray:
+    """(K, 1, M) next-symbol probabilities from the forward rows a (K, N)."""
+    return (a[:, None, :] @ stack.A) @ stack.B
 
 
 def predict_next_all(stack: ModelStack, prefix: StateSequence) -> np.ndarray:
@@ -814,8 +807,8 @@ def predict_next_all(stack: ModelStack, prefix: StateSequence) -> np.ndarray:
     array in input order, from one forward pass as in
     `predict_points`.  Build `stack` once with `stack_models`."""
     check_symbols(prefix, stack.B.shape[2])
-    a = _stacked_alpha(stack, prefix.symbols)
-    return np.argmax((a[:, None, :] @ stack.A) @ stack.B, axis=2)[:, 0]
+    H, _ = _stacked_alpha(stack, prefix.symbols)
+    return np.argmax(_next_symbol_probs(stack, H[-1]), axis=2)[:, 0]
 
 
 # ---------------------------------------------------------------------------

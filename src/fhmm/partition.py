@@ -81,14 +81,19 @@ def frequency_array(group: list[StateSequence], n_obs: int) -> FrequencyArray:
 
 
 def dissimilarity_matrix(freq_arrays: list[FrequencyArray]) -> np.ndarray:
+    """(G, G) Euclidean distances, one row at a time: no (G, G, M) array."""
     if not freq_arrays:
         raise DomainError("need at least one frequency array")
     dims = {fa.probs.size for fa in freq_arrays}
     if len(dims) != 1:
         raise DomainError(f"frequency arrays disagree on alphabet size: {sorted(dims)}")
     X = np.stack([fa.probs for fa in freq_arrays])
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    out = np.empty((len(X), len(X)))
+    for x, row in zip(X, out):
+        d = x - X
+        d *= d
+        np.sqrt(d.sum(axis=-1), out=row)
+    return out
 
 
 def select_k(

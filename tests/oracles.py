@@ -186,26 +186,59 @@ def one_hot_targets(targets, n_obs: int) -> np.ndarray:
     return out
 
 
-def stacked_alpha_loop(A, B, pi, obs) -> np.ndarray:
-    """The stacked models' normalized forward rows (K, N) after `obs`, one
-    fresh array per step: the transition product, the emissions gathered
-    from B transposed (K, M, N), the row sums and the division, raising
-    DegenerateSequenceError at the first step with a sum not above zero."""
+def stacked_alpha_loop(A, B, pi, obs):
+    """The stacked models' normalized forward rows (T, K, N) at every step of
+    `obs` and their unscaled row sums (T, K), one fresh array per step: the
+    transition product, the emissions gathered from B transposed (K, M, N),
+    the row sums and the division, raising DegenerateSequenceError at the
+    first step with a sum not above zero."""
     from fhmm.errors import DegenerateSequenceError
 
     BT = np.ascontiguousarray(np.asarray(B).transpose(0, 2, 1))
+    alphas, sums = [], []
 
     def normalized(a, t):
         s = a.sum(axis=-1)
         if (s <= 0.0).any():
             raise DegenerateSequenceError(t)
         a /= s[..., None]
+        alphas.append(a)
+        sums.append(s)
         return a
 
     a = normalized(pi * BT[:, obs[0]], 0)
     for t in range(1, len(obs)):
         a = normalized((a[:, None, :] @ A)[:, 0] * BT[:, obs[t]], t)
-    return a
+    return np.stack(alphas), np.stack(sums)
+
+
+def forward_loop(A, B, pi, obs):
+    """One model's scaled forward pass, one step at a time: (alpha (T, N),
+    scale (T,), log P(O|lambda)), scale[t] the reciprocal of step t's
+    unscaled row sum.  Raises DegenerateSequenceError at the first step
+    whose row sum is not above zero.  A subnormal row sum's reciprocal may
+    overflow to inf, so such a step adds the log of its sum instead."""
+    from fhmm.errors import DegenerateSequenceError
+
+    tiny = np.finfo(np.float64).tiny
+    T = len(obs)
+    alpha = np.empty((T, len(pi)))
+    sums = np.empty(T)
+    a = pi * B[:, obs[0]]
+    for t in range(T):
+        if t:
+            a = (alpha[t - 1] @ A) * B[:, obs[t]]
+        s = a.sum()
+        if s <= 0.0:
+            raise DegenerateSequenceError(t)
+        sums[t] = s
+        alpha[t] = a / s
+    with np.errstate(over="ignore"):
+        scale = 1.0 / sums
+    log_scale = np.log(scale)
+    subnormal = sums < tiny
+    log_scale[subnormal] = -np.log(sums[subnormal])
+    return alpha, scale, -float(log_scale.sum())
 
 
 def fusion_inputs(preds, counts, n_obs: int) -> np.ndarray:

@@ -1013,9 +1013,20 @@ class TestPredictPoints:
             )
 
 
+PLANTED = st.lists(
+    st.tuples(
+        st.sampled_from(["A", "B", "pi"]), st.integers(0, 10**6),
+        st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny,
+                         2 * np.finfo(np.float64).tiny]),
+    ),
+    max_size=6,
+)
+
+
 class TestStackedStep:
-    """The buffered forward step behind predict_next_all against the per-step
-    loop it replaced (oracles.stacked_alpha_loop)."""
+    """The buffered forward step behind predict_next_all, score,
+    predict_next and forward_backward against the per-step loops it
+    replaced (oracles.stacked_alpha_loop and oracles.forward_loop)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1024,14 +1035,7 @@ class TestStackedStep:
         n_obs=st.integers(1, 5),
         length=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
-        planted=st.lists(
-            st.tuples(
-                st.sampled_from(["A", "B", "pi"]), st.integers(0, 10**6),
-                st.sampled_from([5e-324, 1e-310, np.finfo(np.float64).tiny,
-                                 2 * np.finfo(np.float64).tiny]),
-            ),
-            max_size=6,
-        ),
+        planted=PLANTED,
         dead=st.booleans(),
     )
     def test_equals_the_per_step_loop_bit_for_bit(
@@ -1054,31 +1058,104 @@ class TestStackedStep:
         stack = stack_models(models)
         obs = rng.integers(0, n_obs, size=length)
         try:
-            expected = oracles.stacked_alpha_loop(
+            alphas, sums = oracles.stacked_alpha_loop(
                 stack.A, stack.B, stack.pi, obs
             )
         except DegenerateSequenceError as err:
-            with pytest.raises(DegenerateSequenceError) as got:
-                hmm._stacked_alpha(stack, obs)
-            assert got.value.time_step == err.time_step
-        else:
-            got = hmm._stacked_alpha(stack, obs)
-            assert got.tobytes() == expected.tobytes()
+            for history in (False, True):
+                with pytest.raises(DegenerateSequenceError) as got:
+                    hmm._stacked_alpha(stack, obs, history)
+                assert got.value.time_step == err.time_step
+            return
+        # the last step's alpha alone, or every step's
+        for history, want in ((False, alphas[-1:]), (True, alphas)):
+            H, S = hmm._stacked_alpha(stack, obs, history)
+            assert H.shape == want.shape
+            assert H.tobytes() == want.tobytes()
+            assert S.shape == (length, k, 1)
+            assert S.tobytes() == sums.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_hidden=st.integers(1, 12),
+        n_obs=st.integers(1, 5),
+        length=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        planted=PLANTED,
+        dead=st.booleans(),
+    )
+    def test_one_model_paths_equal_the_forward_loop_bit_for_bit(
+        self, n_hidden, n_obs, length, seed, planted, dead
+    ):
+        model = random_model(n_hidden, n_obs, seed=seed)
+        for name, pos, value in planted:
+            arr = getattr(model, name)
+            arr.flat[pos % arr.size] = value
+        if dead:
+            model.B[:, n_obs - 1] = 0.0
+        rng = np.random.default_rng(seed)
+        seq = StateSequence(rng.integers(0, n_obs, size=length))
+        paths = (score, predict_next, forward_backward)
+        try:
+            alpha, scale, ll = oracles.forward_loop(
+                model.A, model.B, model.pi, seq.symbols
+            )
+        except DegenerateSequenceError as err:
+            for path in paths:
+                with pytest.raises(DegenerateSequenceError) as got:
+                    path(model, seq)
+                assert got.value.time_step == err.time_step
+            return
+        assert score(model, seq).hex() == ll.hex()
+        probs = (alpha[-1] @ model.A) @ model.B
+        with np.errstate(divide="ignore"):
+            scores = ll + np.log(probs)
+        symbol, got = predict_next(model, seq)
+        assert symbol == int(np.argmax(probs))
+        assert got.tobytes() == scores.tobytes()
+        # the posteriors are degenerate from a subnormal row sum on, whose
+        # reciprocal exceeds 1/tiny
+        subnormal = np.flatnonzero(scale > 1.0 / np.finfo(np.float64).tiny)
+        if subnormal.size:
+            with pytest.raises(DegenerateSequenceError) as err:
+                forward_backward(model, seq)
+            assert err.value.time_step == subnormal[0]
+            return
+        ws = forward_backward(model, seq)
+        assert ws.alpha.tobytes() == alpha.tobytes()
+        assert ws.scale.tobytes() == scale.tobytes()
+        assert ws.log_likelihood.hex() == ll.hex()
 
     def test_holds_no_per_step_arrays(self):
         K, N, M, T = 16, 10, 10, 300
-        stack = stack_models([random_model(N, M, seed=s) for s in range(K)])
+        models = [random_model(N, M, seed=s) for s in range(K)]
+        stack = stack_models(models)
         prefix = StateSequence(np.random.default_rng(0).integers(0, M, T))
-        predict_next_all(stack, prefix)
-        tracemalloc.start()
-        try:
-            predict_next_all(stack, prefix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def peak(call):
+            call()                           # one-time work off the peak
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         # half of one (T, K, N) float64 array, such as a gather of every
         # step's emissions; the step's buffers and sums are far below it
-        assert peak < T * K * N * 8 / 2, peak
+        got = peak(lambda: predict_next_all(stack, prefix))
+        assert got < T * K * N * 8 / 2, got
+        # on a one-model stack of 4N states, half of its (T, 4N) alpha
+        # history, which only forward_backward holds; the per-step sums and
+        # symbols, one number each, are far below it
+        one = random_model(4 * N, M, seed=K)
+        history = T * 4 * N * 8
+        for call in (lambda: score(one, prefix),
+                     lambda: predict_next(one, prefix)):
+            got = peak(call)
+            assert got < history / 2, got
+        got = peak(lambda: forward_backward(one, prefix))
+        assert got >= history, got
 
 
 class TestSample:

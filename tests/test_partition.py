@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,16 +99,27 @@ class TestDissimilarity:
         assert d[0, 1] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
+        G, M = 60, 19
         rng = np.random.default_rng(4)
         arrays = []
-        for i in range(6):
-            p = rng.random(5)
+        for i in range(G):
+            p = rng.random(M)
             arrays.append(FrequencyArray(i + 2, p / p.sum(), 3))
-        d = dissimilarity_matrix(arrays)
+        dissimilarity_matrix(arrays[:2])     # one-time work off the peak
+        tracemalloc.start()
+        try:
+            d = dissimilarity_matrix(arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and the bytes of eight (G, M) arrays (the stacked
+        # inputs, one row's differences, the per-array views), a fifth of
+        # one (G, G, M) difference cube
+        assert peak <= d.nbytes + 8 * G * M * 8, peak
         expected = oracles.pairwise_euclidean([fa.probs for fa in arrays])
         assert np.abs(d - expected).max() < 1e-12
         np.testing.assert_array_equal(d, d.T)
-        np.testing.assert_array_equal(np.diag(d), np.zeros(6))
+        np.testing.assert_array_equal(np.diag(d), np.zeros(G))
 
     def test_mismatched_alphabets_rejected(self):
         fa = FrequencyArray(2, np.array([1.0, 0.0]), 1)
