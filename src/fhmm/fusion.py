@@ -271,19 +271,74 @@ def train_fusion_points(
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    Each minibatch is encoded on its own, so the dense (P, K*M+1) input
-    matrix is never built, and only into the input columns some point sets,
+    The distinct (prediction row, count) pairs are found once and their
+    one-hot rows encoded once into a table (see _row_table), and each
+    minibatch gathers its rows from it, so the dense (P, K*M+1) input matrix
+    is never built.  The table holds only the input columns some point sets,
     so no product multiplies a column that is zero in every point.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
+    width = preds.shape[1] * n_obs + 1
     cols = _set_columns(preds, counts, n_obs)
-    return _train(
-        lambda idx: _encode_rows(
-            preds[idx], counts[idx], n_obs, cols, np.float32
-        ),
-        cols, preds.shape[1] * n_obs + 1, targets, n_obs, hyper,
-    )
+    table, row_counts, inverse = _row_table(preds, counts, n_obs, cols)
+    counted = cols.size and cols[-1] == width - 1
+
+    def rows(idx):
+        at = inverse.take(idx)
+        X = table.take(at, axis=0).astype(np.float32)
+        if counted:
+            X[:, -1] = row_counts.take(at)
+        return X
+
+    return _train(rows, cols, width, targets, n_obs, hyper)
+
+
+def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int,
+               cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (prediction row, float32 count) pairs of a checked
+    (P, K) matrix and its counts: their one-hot rows in the columns `cols`
+    as a (D, cols.size) bool table, their (D,) float32 counts, and the (P,)
+    index of each point's pair.
+
+    A point's float32 input row is its table row as float32 with the count
+    column, if cols holds it, set to its pair's count: the bits of
+    _encode_rows(..., cols, np.float32), which rounds each count to float32
+    the same way.  The keys are the predictions narrowed as in
+    prediction_dtype plus the float32 count, made PREDICT_BYTES / 8 bytes
+    of them at a time and merged into a running union of the distinct
+    keys, so besides the table and the index no temporary grows with P
+    (one np.unique over all P keys would hold several copies of them).
+    The table is encoded in fused_predictions' chunks.
+    """
+    n, k = preds.shape
+    key = np.dtype([("preds", np.min_scalar_type(n_obs - 1), (k,)),
+                    ("count", np.float32)])
+    void = np.dtype((np.void, key.itemsize))
+    step = max(1, PREDICT_BYTES // (8 * key.itemsize))
+
+    def keys(start):
+        block = np.empty(min(step, n - start), dtype=key)
+        block["preds"] = preds[start : start + step]
+        block["count"] = counts[start : start + step]
+        return block.view(void)
+
+    distinct = np.empty(0, dtype=void)
+    for start in range(0, n, step):
+        distinct = np.union1d(distinct, keys(start))
+    inverse = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        inverse[start : start + step] = np.searchsorted(distinct, keys(start))
+    distinct = distinct.view(key)
+    row_counts = np.ascontiguousarray(distinct["count"])
+    table = np.empty((distinct.size, cols.size), dtype=bool)
+    step = _chunk_rows(k * n_obs + 1)
+    for start in range(0, distinct.size, step):
+        rows = slice(start, start + step)
+        table[rows] = _encode_rows(
+            distinct["preds"][rows], row_counts[rows], n_obs, cols, bool
+        )
+    return table, row_counts, inverse
 
 
 def train_fusion_arrays(
@@ -382,8 +437,10 @@ def feature_importance(
     """Block weight mass averaged over seeded retrainings, highest first.
 
     feature_names must list the K model features in block order; the count
-    feature is appended automatically.
+    feature is appended automatically.  n_retrain must be at least 1.
     """
+    if n_retrain < 1:
+        raise DomainError(f"n_retrain must be at least 1, got {n_retrain}")
     preds, counts = _checked_points(preds, counts, n_obs)
     k = preds.shape[1]
     if len(feature_names) != k:

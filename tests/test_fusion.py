@@ -302,11 +302,34 @@ def _dense_reference(X, Y, hyper):
     return net, trace
 
 
+def _redundant_points(seed, p, k, m, zero_counts=False, n_rows=30):
+    """p points drawn from n_rows distinct (prediction row, count) pairs,
+    with uint8 predictions as train_ensemble passes them."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, m, size=(n_rows, k)).astype(np.uint8)
+    row_counts = np.zeros(n_rows) if zero_counts else rng.random(n_rows)
+    at = rng.integers(0, n_rows, size=p)
+    return rows[at], row_counts[at], rng.integers(0, m, size=p)
+
+
 class TestPointsEntry:
-    def test_bit_identical_to_the_dense_matrix(self):
-        preds, counts, targets = _points(4, 1000, 5, 6)  # 1000 = 15*64 + 40
+    @pytest.mark.parametrize("points", [
+        _points(4, 1000, 5, 6),                            # 1000 = 15*64 + 40
+        _redundant_points(9, 3000, 5, 6),                  # 3000 = 46*64 + 56
+        _redundant_points(10, 3000, 5, 6, zero_counts=True),
+    ], ids=["distinct", "redundant", "redundant-zero-counts"])
+    def test_bit_identical_to_the_dense_matrix(self, points):
+        preds, counts, targets = points
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
                             batch=64, seed=7)
+        # the training table holds one row per distinct (row, count) pair
+        distinct = np.unique(
+            np.column_stack([preds, counts.astype(np.float32)]), axis=0
+        )
+        table, _, _ = fusion._row_table(
+            preds, counts, 6, fusion._set_columns(preds, counts, 6)
+        )
+        assert table.shape[0] == distinct.shape[0]
         X = encode_batch(preds, counts, 6)
         Y = oracles.one_hot_targets(targets, 6)
         ref, ref_trace = _dense_reference(X, Y, hyper)
@@ -329,6 +352,23 @@ class TestPointsEntry:
         finally:
             tracemalloc.stop()
         assert peak < p * (k * m + 1) * 8 / 4
+
+    def test_row_table_memory_does_not_grow_with_points(self):
+        # besides the (P,) index, the search holds one chunk of keys and the
+        # distinct keys so far, at any P; one np.unique over all 400k keys
+        # (20 bytes each) would hold about 4 * PREDICT_BYTES
+        k, m = 16, 19
+        for p in (50_000, 400_000):
+            preds, counts, _ = _redundant_points(11, p, k, m, n_rows=3000)
+            cols = fusion._set_columns(preds, counts, m)
+            tracemalloc.start()
+            try:
+                table, _, inverse = fusion._row_table(preds, counts, m, cols)
+                peak = tracemalloc.get_traced_memory()[1] - inverse.nbytes
+            finally:
+                tracemalloc.stop()
+            assert table.shape == (3000, cols.size)
+            assert peak <= 2 * fusion.PREDICT_BYTES, (p, peak)
 
     @pytest.mark.parametrize("bad", [
         {"preds": [[3, 0], [1, 1]]},
@@ -538,6 +578,13 @@ class TestFeatureImportance:
         assert all(r.std >= 0 for r in rows1)
         report = format_importance_report(rows1)
         assert "count" in report and "±" in report
+
+    @pytest.mark.parametrize("n_retrain", [0, -1])
+    def test_rejects_fewer_than_one_retraining(self, n_retrain):
+        preds, counts, targets = _points(12, 50, 2, 3)
+        with pytest.raises(DomainError, match="n_retrain"):
+            feature_importance(preds, counts, targets, 3, FusionHyper(),
+                               ["hmm_4", "hmm_9"], n_retrain=n_retrain)
 
     def test_block_weights_shape(self):
         net = init_network(2 * 3 + 1, 3, FusionHyper(hidden_width=4, seed=0))
