@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--retrain", type=int, default=5)
     parser.add_argument("--out", help="write the table here as well as stdout")
     args = parser.parse_args()
+    if args.retrain < 1:
+        parser.error("--retrain must be at least 1")
 
     bench = standard_benchmark(n_train=args.train, n_test=0, seed=args.seed)
     config = standard_config(base_seed=args.seed)

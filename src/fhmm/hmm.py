@@ -220,13 +220,12 @@ def score(model: HmmModel, seq: StateSequence) -> float:
 
 @dataclass
 class _Ragged:
-    """Sequences sorted longest first, symbols stored time-major.
+    """Sequences that come longest first, symbols stored time-major.
 
     At step t the sequences still running are the first running[t] rows,
     and their symbols are obs[starts[t]:starts[t+1]], one per row.
     """
 
-    order: np.ndarray            # input index of each row
     lengths: np.ndarray          # row lengths, non-increasing
     running: np.ndarray          # running[t]: how many rows are longer than t
     starts: np.ndarray
@@ -234,22 +233,21 @@ class _Ragged:
 
 
 def _ragged(seqs: list[np.ndarray]) -> _Ragged:
-    """The ragged layout of one or more non-empty sequences.
+    """The ragged layout of one or more non-empty sequences, which must
+    come longest first; the rows keep their input order.
 
-    `obs` is filled one step at a time from the longest-first concatenation,
+    `obs` is filled one step at a time from the concatenation of `seqs`,
     so besides the two of them only per-row and per-step arrays exist.
     """
     lengths = np.array([s.size for s in seqs], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    ordered = lengths[order]
-    running = np.searchsorted(-ordered, -np.arange(ordered[0]), side="left")
+    running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     starts = np.concatenate([[0], np.cumsum(running)])
-    flat = np.concatenate([seqs[i] for i in order])
-    first = np.cumsum(ordered) - ordered     # each row's start in `flat`
+    flat = np.concatenate(seqs)
+    first = np.cumsum(lengths) - lengths     # each row's start in `flat`
     obs = np.empty(flat.size, dtype=np.int64)
     for t, n in enumerate(running.tolist()):
         obs[starts[t]: starts[t + 1]] = flat[first[:n] + t]
-    return _Ragged(order, ordered, running, starts, obs)
+    return _Ragged(lengths, running, starts, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +692,13 @@ def predict_points(
     of `point_offsets`; entry [p, k] equals predict_next(models[k],
     prefix)[0] for the prefix that point predicts after.  The models must
     share one (n_hidden, n_obs) shape (see `stack_models`).  One scaled
-    forward pass runs all K models over all sequences at once: in the
-    ragged layout Baum-Welch also uses, the sequences still running at
+    forward pass runs all K models over the sequences, sorted longest first,
+    one block of ROW_BLOCK sequences at a time: in the block's ragged
+    layout, the one Baum-Welch also uses, the sequences still running at
     step t are the first rows, and the next-symbol argmax is taken only at
-    stride points.  Besides the
-    result, memory holds the layout (two int64 per symbol while it is
-    built, one after) and working arrays of at most ROW_BLOCK sequences.
+    stride points.  Besides the result and a few per-sequence arrays,
+    memory holds one block's layout (two int64 per symbol while it is
+    built, one after) and its working arrays.
 
     Alpha is held state-major, (K, N, rows running) with no padding, so
     each step's work runs along contiguous rows of sequences: the
@@ -717,39 +716,33 @@ def predict_points(
         raise DomainError("a sequence needs at least one symbol")
     offsets = point_offsets(lengths, stride)
     out = np.empty((offsets[-1], len(models)), dtype=prediction_dtype(models))
-    if not seqs:
-        return out
-    layout = _ragged(seqs)
-    ordered, running, starts, obs = (
-        layout.lengths, layout.running, layout.starts, layout.obs
-    )
-    first_point = offsets[layout.order]
     AT, B, pi = stack.A.transpose(0, 2, 1), stack.B, stack.pi
-    if obs.max() >= B.shape[2]:
-        raise DomainError(
-            f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
-        )
-    # blocks of rows bound the working arrays to (K, N, ROW_BLOCK)
+    order = np.argsort(-lengths, kind="stable")
     for lo in range(0, len(seqs), ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, len(seqs))
+        rows = order[lo: lo + ROW_BLOCK]
+        layout = _ragged([seqs[i] for i in rows])
+        running, starts, obs = layout.running, layout.starts, layout.obs
+        if obs.max() >= B.shape[2]:
+            raise DomainError(
+                f"symbol {obs.max()} outside an alphabet of {B.shape[2]} symbols"
+            )
+        first_point = offsets[rows]
         a = _normalized_states(
-            pi[:, :, None] * np.take(B, obs[lo:hi], axis=2), 0
+            pi[:, :, None] * np.take(B, obs[: rows.size], axis=2), 0
         )
-        for t in range(1, int(ordered[lo])):
-            n = min(running[t], hi) - lo
+        for t in range(1, int(layout.lengths[0])):
+            n = running[t]
             # rebound at once: the previous alpha is freed before the
             # (K, n, M) probabilities exist
             a = AT @ a[:, :, :n]
             if (t - 1) % stride == 0:
-                rows = first_point[lo: lo + n] + (t - 1) // stride
                 # (K, n, M) next-symbol probabilities, one batched product
-                out[rows] = np.argmax(
+                out[first_point[:n] + (t - 1) // stride] = np.argmax(
                     np.matmul(a.transpose(0, 2, 1), B), axis=2
                 ).T
             # np.take lays the (K, N, n) emissions out as `a` is laid out;
             # an index on the last axis would not, and multiplies slower
-            q = starts[t] + lo
-            a *= np.take(B, obs[q: q + n], axis=2)
+            a *= np.take(B, obs[starts[t]: starts[t + 1]], axis=2)
             _normalized_states(a, t)
     return out
 

@@ -188,17 +188,13 @@ def parse_logs(
         eventid = record.get("eventid") or ""
         session = record.get("session") or ""
         ts = _parse_timestamp(record.get("timestamp", ""))
-        if not eventid or not session or ts is None:
+        state = None
+        if eventid and session and ts is not None:
+            state = mapping.map_event(eventid, record.get("input"))
+        if state is None:
             report.unmapped_events += 1
             key = eventid or "<missing>"
             report.unmapped_by_event[key] = report.unmapped_by_event.get(key, 0) + 1
-            continue
-        state = mapping.map_event(eventid, record.get("input"))
-        if state is None:
-            report.unmapped_events += 1
-            report.unmapped_by_event[eventid] = (
-                report.unmapped_by_event.get(eventid, 0) + 1
-            )
             continue
         report.mapped_events += 1
         if session not in buckets:

@@ -329,9 +329,10 @@ class TestEStep:
             rng.integers(0, m, size=t)
             for t in rng.permutation(lengths * repeats)
         ]
+        # the layout takes its rows longest first
         stats, lls = hmm._e_step(
-            hmm._ragged(seqs), [len(seqs)], model.A[None], model.B[None],
-            model.pi[None],
+            hmm._ragged(sorted(seqs, key=len, reverse=True)), [len(seqs)],
+            model.A[None], model.B[None], model.pi[None],
         )
         assert_matches_forward_backward(
             model, seqs, {name: v[0] for name, v in stats.items()}, lls[0]
@@ -396,8 +397,11 @@ class TestEStep:
             ([9] * 3, [3], 0), ([5] * 3, [1, 2], 1),
             ([2] * 4 + [1] * 5, [4, 5], 3),
         ]
-        # each pass-group's rows, in input order, are contiguous
-        np.testing.assert_array_equal(passes[1][0].order, np.arange(3))
+        # each pass-group's rows, in input order, are contiguous: the
+        # pass's obs holds them time-major
+        np.testing.assert_array_equal(
+            passes[1][0].obs, np.stack(groups[1] + groups[2]).T.ravel()
+        )
         assert [len(p[0].lengths) for p in hmm._passes(groups)] == [15]
 
     @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
@@ -822,6 +826,31 @@ class TestPredictPoints:
         assert got.dtype == np.uint8
         symbols = sum(s.size for s in seqs)
         assert peak <= got.nbytes + 3 * 8 * symbols, (peak, got.nbytes)
+
+    def test_memory_is_bounded_by_a_block(self):
+        # from 2 to 8 blocks of sessions of one length, the traced peak less
+        # the result grows only by per-session arrays, three int64 each
+        # (0.36 of one block's layout); a layout of the whole corpus, with
+        # the concatenation it is filled from, would add 12 blocks' layouts
+        length = 50
+        block_layout = hmm.ROW_BLOCK * length * 8
+        rng = np.random.default_rng(5)
+        models = [random_model(2, 5, seed=s) for s in range(2)]
+        predict_points(models, [rng.integers(0, 5, size=length)] * 10)
+        above = []
+        for blocks in (2, 8):
+            seqs = [
+                rng.integers(0, 5, size=length)
+                for _ in range(blocks * hmm.ROW_BLOCK)
+            ]
+            tracemalloc.start()
+            try:
+                got = predict_points(models, seqs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above.append(peak - got.nbytes)
+        assert abs(above[1] - above[0]) <= 0.5 * block_layout, above
 
     def test_state_sums_equal_numpy_sums_bit_for_bit(self):
         rng = np.random.default_rng(12)

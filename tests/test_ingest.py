@@ -131,11 +131,17 @@ class TestParseLogs:
             _event("cowrie.login.success", "a", "2017-04-01T10:00:02Z"),
             json.dumps({"eventid": "cowrie.login.failed"}),  # missing session
             _event("cowrie.login.failed", "solo", "2017-04-01T10:00:03Z"),
+            json.dumps({"session": "a"}),                    # missing eventid
         ]
         sessions, report = parse_logs(lines)
-        assert report.total_lines == 6
+        assert report.total_lines == 7
         assert report.malformed_lines == [1]
-        assert report.unmapped_events == 2
+        assert report.unmapped_events == 3
+        assert report.unmapped_by_event == {
+            "cowrie.login.failed": 1,
+            "cowrie.unknown.event": 1,
+            "<missing>": 1,
+        }
         assert report.mapped_events == 3
         assert report.short_sessions_dropped == 1
         assert report.short_session_events == 1
