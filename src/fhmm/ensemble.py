@@ -22,11 +22,10 @@ from .config import RunConfig
 from .errors import DomainError
 from .fusion import (
     FusionHyper,
-    FusionInput,
     FusionNetwork,
-    encode,
+    encode_batch,
     feature_importance,
-    forward,
+    forward_batch,
     fused_predictions,
     fusion_from_doc,
     fusion_to_doc,
@@ -381,9 +380,11 @@ def predict(model: EnsembleModel, prefix: StateSequence) -> EnsemblePrediction:
         for length, symbol in zip(model.selected_lengths, preds)
     }
     count = min(len(prefix) / model.max_len, 1.0)
-    x = encode(FusionInput(hmm_preds=preds, count=count), model.k, model.n_obs)
-    scores, symbol = forward(model.fusion, x)
-    return EnsemblePrediction(symbol=symbol, per_model=per_model, scores=scores)
+    x = encode_batch(preds[None, :], [count], model.n_obs)
+    scores = forward_batch(model.fusion, x)[0]
+    return EnsemblePrediction(
+        symbol=int(np.argmax(scores)), per_model=per_model, scores=scores
+    )
 
 
 def _fused_point_predictions(model: EnsembleModel, sessions, stride):
@@ -564,7 +565,8 @@ def sweep_k(
 
     Greedy selection is nested, so the K_max models are trained once and each
     smaller ensemble reuses its prefix; results are identical to training
-    each size independently.
+    each size independently.  A split that leaves no test session raises
+    DomainError.
     """
     if not ks:
         raise DomainError("need at least one k value")
@@ -573,6 +575,11 @@ def sweep_k(
     if ks[0] < 1:
         raise DomainError(f"k values must be at least 1, got {ks[0]}")
     train, test = split_sessions(sessions, config.train_frac, config.base_seed)
+    if not test:
+        raise DomainError(
+            f"train_frac {config.train_frac} leaves no test session of "
+            f"{len(sessions)}"
+        )
     k_max = ks[-1]
 
     plan = build_plan(train, config.n_obs, k_max, config.min_support)

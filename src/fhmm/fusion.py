@@ -8,7 +8,7 @@ weight matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -262,26 +262,28 @@ def _cost_and_gradients(net: FusionNetwork, X: np.ndarray, Y: np.ndarray,
 
 
 def train_fusion_points(
-    preds: np.ndarray,
-    counts: np.ndarray,
-    targets: np.ndarray,
-    n_obs: int,
+    preds: np.ndarray, counts: np.ndarray, targets: np.ndarray, n_obs: int,
     hyper: FusionHyper,
 ) -> tuple[FusionNetwork, list[float]]:
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    The distinct (prediction row, count) pairs are found once and their
-    one-hot rows encoded once into a table (see _row_table), and each
+    The points are checked and prepared once (see _prepare): the distinct
+    (prediction row, count) pairs are encoded once into a table, and each
     minibatch gathers its rows from it, so the dense (P, K*M+1) input matrix
     is never built.  The table holds only the input columns some point sets,
     so no product multiplies a column that is zero in every point.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
+    return _train(*_prepare(preds, counts, n_obs), targets, n_obs, hyper)
+
+
+def _prepare(preds: np.ndarray, counts: np.ndarray, n_obs: int):
+    """_train's (rows, cols, width) for a checked (P, K) matrix and its
+    counts, which any number of training runs on these points can share."""
     width = preds.shape[1] * n_obs + 1
-    cols = _set_columns(preds, counts, n_obs)
-    table, row_counts, inverse = _row_table(preds, counts, n_obs, cols)
+    cols, table, row_counts, inverse = _row_table(preds, counts, n_obs)
     counted = cols.size and cols[-1] == width - 1
 
     def rows(idx):
@@ -291,14 +293,16 @@ def train_fusion_points(
             X[:, -1] = row_counts.take(at)
         return X
 
-    return _train(rows, cols, width, targets, n_obs, hyper)
+    return rows, cols, width
 
 
-def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int,
-               cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (prediction row, float32 count) pairs of a checked
-    (P, K) matrix and its counts: their one-hot rows in the columns `cols`
-    as a (D, cols.size) bool table, their (D,) float32 counts, and the (P,)
+    (P, K) matrix and its counts: the input columns the P points set
+    (_set_columns over the D pairs, so the count column is set when some
+    float32 count is nonzero), their one-hot rows in those columns as a
+    (D, cols.size) bool table, their (D,) float32 counts, and the (P,)
     index of each point's pair.
 
     A point's float32 input row is its table row as float32 with the count
@@ -331,6 +335,7 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int,
         inverse[start : start + step] = np.searchsorted(distinct, keys(start))
     distinct = distinct.view(key)
     row_counts = np.ascontiguousarray(distinct["count"])
+    cols = _set_columns(distinct["preds"], row_counts, n_obs)
     table = np.empty((distinct.size, cols.size), dtype=bool)
     step = _chunk_rows(k * n_obs + 1)
     for start in range(0, distinct.size, step):
@@ -338,7 +343,7 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int,
         table[rows] = _encode_rows(
             distinct["preds"][rows], row_counts[rows], n_obs, cols, bool
         )
-    return table, row_counts, inverse
+    return cols, table, row_counts, inverse
 
 
 def train_fusion_arrays(
@@ -426,18 +431,14 @@ class FeatureImportance:
 
 
 def feature_importance(
-    preds: np.ndarray,
-    counts: np.ndarray,
-    targets: np.ndarray,
-    n_obs: int,
-    hyper: FusionHyper,
-    feature_names: list[str],
-    n_retrain: int = 5,
+    preds: np.ndarray, counts: np.ndarray, targets: np.ndarray, n_obs: int,
+    hyper: FusionHyper, feature_names: list[str], n_retrain: int = 5,
 ) -> list[FeatureImportance]:
     """Block weight mass averaged over seeded retrainings, highest first.
 
     feature_names must list the K model features in block order; the count
-    feature is appended automatically.  n_retrain must be at least 1.
+    feature is appended automatically.  n_retrain must be at least 1.  The
+    points are prepared once (_prepare); retraining i has seed hyper.seed + i.
     """
     if n_retrain < 1:
         raise DomainError(f"n_retrain must be at least 1, got {n_retrain}")
@@ -445,21 +446,20 @@ def feature_importance(
     k = preds.shape[1]
     if len(feature_names) != k:
         raise DomainError("need one feature name per prediction block")
+    targets = _checked_targets(targets, n_obs, preds.shape[0])
+    prepared = _prepare(preds, counts, n_obs)
     all_masses = []
     for i in range(n_retrain):
-        run = FusionHyper(**{**hyper.__dict__, "seed": hyper.seed + i})
-        net, _ = train_fusion_points(preds, counts, targets, n_obs, run)
+        run = replace(hyper, seed=hyper.seed + i)
+        net, _ = _train(*prepared, targets, n_obs, run)
         all_masses.append(input_block_weights(net, k, n_obs))
     stacked = np.stack(all_masses)
-    means = stacked.mean(axis=0)
-    stds = stacked.std(axis=0)
-    names = list(feature_names) + ["count"]
     rows = [
-        FeatureImportance(name=names[i], weight=float(means[i]), std=float(stds[i]))
-        for i in range(k + 1)
+        FeatureImportance(name=name, weight=float(mean), std=float(std))
+        for name, mean, std in zip([*feature_names, "count"],
+                                   stacked.mean(axis=0), stacked.std(axis=0))
     ]
-    rows.sort(key=lambda r: (-r.weight, r.name))
-    return rows
+    return sorted(rows, key=lambda r: (-r.weight, r.name))
 
 
 def format_importance_report(rows: list[FeatureImportance]) -> str:

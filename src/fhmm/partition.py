@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SelectionError
-from .sequences import StateSequence, check_symbols
+from .sequences import StateSequence, joined_symbols
 from . import serialize
 
 DEFAULT_K = 38
@@ -69,10 +69,7 @@ def frequency_array(group: list[StateSequence], n_obs: int) -> FrequencyArray:
     """Occurrence count of each symbol across the group over total symbols."""
     if not group:
         raise DomainError("group must be non-empty")
-    counts = np.zeros(n_obs)
-    for seq in group:
-        check_symbols(seq, n_obs)
-        counts += np.bincount(seq.symbols, minlength=n_obs)
+    counts = np.bincount(joined_symbols(group, n_obs), minlength=n_obs)
     return FrequencyArray(
         length_key=len(group[0]),
         probs=counts / counts.sum(),

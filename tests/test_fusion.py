@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,10 +327,10 @@ class TestPointsEntry:
         distinct = np.unique(
             np.column_stack([preds, counts.astype(np.float32)]), axis=0
         )
-        table, _, _ = fusion._row_table(
-            preds, counts, 6, fusion._set_columns(preds, counts, 6)
-        )
+        cols, table, _, _ = fusion._row_table(preds, counts, 6)
         assert table.shape[0] == distinct.shape[0]
+        # the distinct rows set the same columns as all the points
+        assert np.array_equal(cols, fusion._set_columns(preds, counts, 6))
         X = encode_batch(preds, counts, 6)
         Y = oracles.one_hot_targets(targets, 6)
         ref, ref_trace = _dense_reference(X, Y, hyper)
@@ -360,13 +361,13 @@ class TestPointsEntry:
         k, m = 16, 19
         for p in (50_000, 400_000):
             preds, counts, _ = _redundant_points(11, p, k, m, n_rows=3000)
-            cols = fusion._set_columns(preds, counts, m)
             tracemalloc.start()
             try:
-                table, _, inverse = fusion._row_table(preds, counts, m, cols)
+                cols, table, _, inverse = fusion._row_table(preds, counts, m)
                 peak = tracemalloc.get_traced_memory()[1] - inverse.nbytes
             finally:
                 tracemalloc.stop()
+            assert np.array_equal(cols, fusion._set_columns(preds, counts, m))
             assert table.shape == (3000, cols.size)
             assert peak <= 2 * fusion.PREDICT_BYTES, (p, peak)
 
@@ -578,6 +579,34 @@ class TestFeatureImportance:
         assert all(r.std >= 0 for r in rows1)
         report = format_importance_report(rows1)
         assert "count" in report and "±" in report
+
+    def test_one_preparation_serves_every_retraining(self, monkeypatch):
+        preds, counts, targets = _redundant_points(13, 600, 3, 4)
+        hyper = FusionHyper(hidden_width=5, epochs=4, batch=16, seed=9)
+        calls = []
+        row_table = fusion._row_table
+
+        def counted(*args):
+            calls.append(args)
+            return row_table(*args)
+
+        monkeypatch.setattr(fusion, "_row_table", counted)
+        rows = feature_importance(preds, counts, targets, 4, hyper,
+                                  ["a", "b", "c"], n_retrain=3)
+        assert len(calls) == 1
+        # the same rows as three separate trainings on the points
+        stacked = np.stack([
+            input_block_weights(train_fusion_points(
+                preds, counts, targets, 4, replace(hyper, seed=9 + i)
+            )[0], 3, 4)
+            for i in range(3)
+        ])
+        expected = sorted(
+            zip(["a", "b", "c", "count"],
+                stacked.mean(axis=0).tolist(), stacked.std(axis=0).tolist()),
+            key=lambda r: (-r[1], r[0]),
+        )
+        assert [(r.name, r.weight, r.std) for r in rows] == expected
 
     @pytest.mark.parametrize("n_retrain", [0, -1])
     def test_rejects_fewer_than_one_retraining(self, n_retrain):
