@@ -403,11 +403,15 @@ def _fused_point_predictions(model: EnsembleModel, sessions, stride):
 
 def _markov_point_predictions(model: MarkovChainModel, sessions, stride):
     """The argmax of each point's previous symbol's transition row; the
-    previous symbols are the sessions' strided symbols, joined."""
+    previous symbols are the sessions' strided symbols, joined.  A previous
+    symbol outside the model's alphabet raises DomainError naming its
+    session (joined_symbols)."""
     previous = np.concatenate(
         [np.empty(0, dtype=np.int64)]
         + [s.symbols[:-1:stride] for s in sessions]
     )
+    if previous.size and previous.max() >= model.n_obs:
+        joined_symbols(sessions, model.n_obs)
     return np.argmax(model.T1, axis=1)[previous]
 
 
@@ -454,7 +458,11 @@ def evaluate(
             n_obs = predictor.n_obs
         elif isinstance(predictor, MarkovChainModel):
             n_obs = predictor.n_obs
-            joined_symbols(sessions, n_obs)
+            # at stride 1 the targets and the previous symbols, which
+            # _markov_point_predictions checks, are every session symbol; a
+            # larger stride skips some, so only then are all of them joined
+            if stride > 1 or targets.max() >= n_obs:
+                joined_symbols(sessions, n_obs)
             predictions = _markov_point_predictions(
                 predictor, sessions, stride
             )
@@ -496,14 +504,19 @@ def evaluate(
     predict_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    confusion = np.zeros((n_obs, n_obs), dtype=np.int64)
-    np.add.at(confusion, (targets, predictions), 1)
+    overall = float((predictions == targets).mean())
+    # each point's cell of the confusion matrix, made in place of its
+    # target: a fresh (P,) array raised the benchmark's peak RSS
+    targets *= n_obs
+    targets += predictions
+    confusion = np.bincount(targets, minlength=n_obs * n_obs).reshape(
+        n_obs, n_obs
+    )
     support = confusion.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         per_state = np.where(
             support > 0, np.diag(confusion) / np.maximum(support, 1), np.nan
         )
-    overall = float((predictions == targets).mean())
     scoring_time = time.perf_counter() - t0
 
     return EvaluationReport(
@@ -565,8 +578,8 @@ def sweep_k(
 
     Greedy selection is nested, so the K_max models are trained once and each
     smaller ensemble reuses its prefix; results are identical to training
-    each size independently.  A split that leaves no test session raises
-    DomainError.
+    each size independently.  A split that leaves no training or no test
+    session raises DomainError.
     """
     if not ks:
         raise DomainError("need at least one k value")
@@ -575,11 +588,12 @@ def sweep_k(
     if ks[0] < 1:
         raise DomainError(f"k values must be at least 1, got {ks[0]}")
     train, test = split_sessions(sessions, config.train_frac, config.base_seed)
-    if not test:
-        raise DomainError(
-            f"train_frac {config.train_frac} leaves no test session of "
-            f"{len(sessions)}"
-        )
+    for part, name in ((train, "training"), (test, "test")):
+        if not part:
+            raise DomainError(
+                f"train_frac {config.train_frac} leaves no {name} session "
+                f"of {len(sessions)}"
+            )
     k_max = ks[-1]
 
     plan = build_plan(train, config.n_obs, k_max, config.min_support)

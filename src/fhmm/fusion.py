@@ -230,24 +230,36 @@ def cost_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Cost and analytic gradients for a batch:
     C = (1/2n) sum ||y - out||^2 + (l2/2)(||W||^2 + ||w||^2).
+
+    This is the training step (_step) with each point its own row: a count
+    of 1 and its own target as the row's target sum.
     """
-    return _cost_and_gradients(net, X, Y, slice(None))
+    return _step(net, X, slice(None), np.arange(X.shape[0]), Y, 1, Y)
 
 
-def _cost_and_gradients(net: FusionNetwork, X: np.ndarray, Y: np.ndarray,
-                        cols) -> tuple[float, dict[str, np.ndarray]]:
-    """cost_and_gradients for a batch X that holds only the input columns
-    `cols` (ascending indices, or slice(None) for all) of a batch whose
-    other columns are zero: the rows of dW outside cols are the L2 term
-    alone."""
-    n = X.shape[0]
+def _step(net: FusionNetwork, X: np.ndarray, cols, inv: np.ndarray,
+          Y: np.ndarray, m, S: np.ndarray
+          ) -> tuple[float, dict[str, np.ndarray]]:
+    """cost_and_gradients for a batch of n points whose U distinct input rows
+    are X: point i has row inv[i] and target Y[i], m is each row's count of
+    points as a (U, 1) column (or 1 when every count is 1) and S (U, M) the
+    sum of its points' targets.
+
+    X holds only the input columns `cols` (ascending indices, or
+    slice(None) for all) of rows whose other columns are zero, so the rows
+    of dW outside cols are the L2 term alone.  The network runs once per
+    row.  The data gradient at row u is (m_u out_u - S_u) / n, the sum of
+    its points' gradients (out_u - y_i) / n; the cost is summed point by
+    point.
+    """
+    n = Y.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         z = X @ net.W[cols] + net.c
         hidden = np.maximum(0.0, z)
         out = hidden @ net.w + net.b
-        diff = out - Y
+        diff = out.take(inv, axis=0) - Y
         data_cost = float((diff ** 2).sum()) / (2.0 * n)
-        dout = diff / n
+        dout = (m * out - S) / n
         cost = data_cost + 0.5 * net.l2 * (
             float((net.W ** 2).sum()) + float((net.w ** 2).sum())
         )
@@ -270,9 +282,10 @@ def train_fusion_points(
 
     The points are checked and prepared once (see _prepare): the distinct
     (prediction row, count) pairs are encoded once into a table, and each
-    minibatch gathers its rows from it, so the dense (P, K*M+1) input matrix
-    is never built.  The table holds only the input columns some point sets,
-    so no product multiplies a column that is zero in every point.
+    minibatch runs the network once per distinct row it holds (see _train),
+    so the dense (P, K*M+1) input matrix is never built.  The table holds
+    only the input columns some point sets, so no product multiplies a
+    column that is zero in every point.
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
@@ -280,20 +293,29 @@ def train_fusion_points(
 
 
 def _prepare(preds: np.ndarray, counts: np.ndarray, n_obs: int):
-    """_train's (rows, cols, width) for a checked (P, K) matrix and its
-    counts, which any number of training runs on these points can share."""
+    """_train's (table, row_counts, inverse, cols, width) for a checked
+    (P, K) matrix and its counts, which any number of training runs on these
+    points can share."""
     width = preds.shape[1] * n_obs + 1
     cols, table, row_counts, inverse = _row_table(preds, counts, n_obs)
     counted = cols.size and cols[-1] == width - 1
+    return table, row_counts if counted else None, inverse, cols, width
 
-    def rows(idx):
-        at = inverse.take(idx)
-        X = table.take(at, axis=0).astype(np.float32)
-        if counted:
-            X[:, -1] = row_counts.take(at)
-        return X
 
-    return rows, cols, width
+def _distinct(keys, n: int, step: int, void: np.dtype
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `void` keys of n points, sorted, and the (n,) index of
+    each point's key among them; keys(start) gives the keys of the points
+    start:start+step.  The chunks are merged into a running union of the
+    distinct keys, so besides the index no temporary grows with n (one
+    np.unique over all n keys would hold several copies of them)."""
+    distinct = np.empty(0, dtype=void)
+    for start in range(0, n, step):
+        distinct = np.union1d(distinct, keys(start))
+    inverse = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        inverse[start : start + step] = np.searchsorted(distinct, keys(start))
+    return distinct, inverse
 
 
 def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
@@ -309,11 +331,9 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
     column, if cols holds it, set to its pair's count: the bits of
     _encode_rows(..., cols, np.float32), which rounds each count to float32
     the same way.  The keys are the predictions narrowed as in
-    prediction_dtype plus the float32 count, made PREDICT_BYTES / 8 bytes
-    of them at a time and merged into a running union of the distinct
-    keys, so besides the table and the index no temporary grows with P
-    (one np.unique over all P keys would hold several copies of them).
-    The table is encoded in fused_predictions' chunks.
+    prediction_dtype plus the float32 count, found by _distinct
+    PREDICT_BYTES / 8 bytes of them at a time.  The table is encoded in
+    fused_predictions' chunks.
     """
     n, k = preds.shape
     key = np.dtype([("preds", np.min_scalar_type(n_obs - 1), (k,)),
@@ -327,12 +347,7 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
         block["count"] = counts[start : start + step]
         return block.view(void)
 
-    distinct = np.empty(0, dtype=void)
-    for start in range(0, n, step):
-        distinct = np.union1d(distinct, keys(start))
-    inverse = np.empty(n, dtype=np.intp)
-    for start in range(0, n, step):
-        inverse[start : start + step] = np.searchsorted(distinct, keys(start))
+    distinct, inverse = _distinct(keys, n, step, void)
     distinct = distinct.view(key)
     row_counts = np.ascontiguousarray(distinct["count"])
     cols = _set_columns(distinct["preds"], row_counts, n_obs)
@@ -349,21 +364,43 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
 def train_fusion_arrays(
     X: np.ndarray, targets: np.ndarray, n_obs: int, hyper: FusionHyper
 ) -> tuple[FusionNetwork, list[float]]:
-    """train_fusion_points on inputs already encoded as one (P, D) matrix."""
+    """train_fusion_points on inputs already encoded as one (P, D) matrix.
+
+    The table holds the distinct float32 rows of X's set columns, found by
+    _distinct as byte keys, so it trains the bits train_fusion_points
+    trains on the points X encodes.
+    """
     targets = _checked_targets(targets, n_obs, X.shape[0])
     cols = np.flatnonzero(X.any(axis=0))
-    return _train(
-        lambda idx: X[np.ix_(idx, cols)].astype(np.float32), cols, X.shape[1],
-        targets, n_obs, hyper,
-    )
+    void = np.dtype((np.void, 4 * cols.size))
+    step = max(1, PREDICT_BYTES // (8 * void.itemsize))
+
+    def keys(start):
+        block = X[start : start + step, cols]
+        return np.ascontiguousarray(block, dtype=np.float32).view(void).ravel()
+
+    distinct, inverse = _distinct(keys, X.shape[0], step, void)
+    table = distinct.view(np.float32).reshape(distinct.size, cols.size)
+    return _train(table, None, inverse, cols, X.shape[1], targets, n_obs,
+                  hyper)
 
 
-def _train(rows, cols: np.ndarray, n_inputs: int, targets: np.ndarray,
-           n_obs: int, hyper: FusionHyper) -> tuple[FusionNetwork, list[float]]:
-    """The training loop; `rows(idx)` gives the float32 inputs of points idx
-    in the columns `cols`, C-contiguous, and every other column is zero in
-    every point.  Each minibatch's one-hot targets are rows of an identity
-    matrix.
+def _train(table: np.ndarray, row_counts: np.ndarray | None,
+           inverse: np.ndarray, cols: np.ndarray, n_inputs: int,
+           targets: np.ndarray, n_obs: int, hyper: FusionHyper
+           ) -> tuple[FusionNetwork, list[float]]:
+    """The training loop over points whose inputs are rows of a table:
+    point i's input holds, in the columns `cols`, row inverse[i] of
+    `table` as float32 with, unless row_counts is None, its last column
+    set to row_counts[inverse[i]]; every other column is zero in every
+    point.
+
+    Each minibatch runs one _step over its U distinct table rows, ordered
+    by their first point in the minibatch, so its bits depend on the
+    minibatch's points and not on the order of the table's rows.  A row's
+    count and target sum are the number and the one-hot targets of its
+    points.  The minibatch order, size and count are those of per-point
+    SGD over the same points.
 
     The steps run in float32: the initial network is rounded once, and
     numpy keeps float32 when the arrays are scaled by Python floats.  The
@@ -377,15 +414,32 @@ def _train(rows, cols: np.ndarray, n_inputs: int, targets: np.ndarray,
     eye = np.eye(n_obs, dtype=np.float32)
     net = _cast(init_network(n_inputs, n_obs, hyper), np.float32)
     rng = np.random.default_rng(hyper.seed + 1)
+    # scratch over the table rows: first the place of a row's first point
+    # in the minibatch, then the row's place among the minibatch's rows
+    place_of = np.empty(table.shape[0], dtype=np.intp)
+    places = np.arange(min(hyper.batch, n))
     trace: list[float] = []
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         epoch_costs = []
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
-            cost, grads = _cost_and_gradients(
-                net, rows(idx), eye[targets[idx]], cols
-            )
+            at = inverse.take(idx)
+            place = places[: at.size]
+            # reversed, so each row keeps the place written last: its first
+            place_of[at[::-1]] = place[::-1]
+            rows = at[place_of.take(at) == place]
+            place_of[rows] = places[: rows.size]
+            inv = place_of.take(at)
+            t = targets.take(idx)
+            X = table.take(rows, axis=0).astype(np.float32, copy=False)
+            if row_counts is not None:
+                X[:, -1] = row_counts.take(rows)
+            m = np.bincount(inv, minlength=rows.size).astype(np.float32)
+            S = np.bincount(inv * n_obs + t, minlength=rows.size * n_obs)
+            S = S.astype(np.float32).reshape(rows.size, n_obs)
+            cost, grads = _step(net, X, cols, inv, eye.take(t, axis=0),
+                                m[:, None], S)
             if not np.isfinite(cost):
                 raise TrainingDivergedError(epoch)
             net.W -= net.lr * grads["W"]

@@ -297,3 +297,66 @@ def fused_argmax(weights, preds, counts, n_obs: int) -> np.ndarray:
     W, c, w, b = weights
     X = fusion_inputs(preds, counts, n_obs)
     return np.argmax(np.maximum(X @ W + c, 0.0) @ w + b, axis=1)
+
+
+def train_fusion_grouped(preds, counts, targets, n_obs: int, hyper):
+    """Fusion's minibatch SGD in float32 over the dense one-hot inputs, with
+    each minibatch's points grouped by input row, written out step by step.
+
+    The initial draw, the inputs and the targets are rounded to float32
+    once.  A loop over a minibatch's points numbers the distinct input rows
+    in the order of their first point and counts each row's points (m) and
+    sums their targets (S); the network runs once per row, the data
+    gradient at a row is (m out - S) / n, and the cost is summed point by
+    point.  Returns the float32 weights (W, c, w, b) and the per-epoch mean
+    cost."""
+    X = fusion_inputs(preds, counts, n_obs).astype(np.float32)
+    Y = one_hot_targets(targets, n_obs).astype(np.float32)
+    p, n_inputs = X.shape
+    lr, l2 = float(hyper.lr), float(hyper.l2)
+    rng = np.random.default_rng(hyper.seed)
+    h = hyper.hidden_width
+    W = rng.uniform(-1.0 / math.sqrt(n_inputs), 1.0 / math.sqrt(n_inputs),
+                    size=(n_inputs, h)).astype(np.float32)
+    w = rng.uniform(-1.0 / math.sqrt(h), 1.0 / math.sqrt(h),
+                    size=(h, n_obs)).astype(np.float32)
+    c, b = np.zeros(h, np.float32), np.zeros(n_obs, np.float32)
+    rng = np.random.default_rng(hyper.seed + 1)
+    trace = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(p)
+        costs = []
+        for start in range(0, p, hyper.batch):
+            idx = order[start : start + hyper.batch]
+            n = idx.size
+            row_of: dict[bytes, int] = {}
+            leads, inv = [], np.empty(n, dtype=np.intp)
+            for i, point in enumerate(idx):
+                key = X[point].tobytes()
+                if key not in row_of:
+                    row_of[key] = len(leads)
+                    leads.append(point)
+                inv[i] = row_of[key]
+            m = np.zeros((len(leads), 1), np.float32)
+            S = np.zeros((len(leads), n_obs), np.float32)
+            for i, point in enumerate(idx):
+                m[inv[i]] += 1
+                S[inv[i]] += Y[point]
+            x = X[leads]
+            z = x @ W + c
+            hidden = np.maximum(0.0, z)
+            out = hidden @ w + b
+            diff = out[inv] - Y[idx]
+            costs.append(
+                float((diff ** 2).sum()) / (2.0 * n)
+                + 0.5 * l2 * (float((W ** 2).sum()) + float((w ** 2).sum()))
+            )
+            dout = (m * out - S) / n
+            dz = (dout @ w.T) * (z > 0.0)
+            dW = l2 * W + x.T @ dz
+            W = W - lr * dW
+            c = c - lr * dz.sum(axis=0)
+            w = w - lr * (hidden.T @ dout + l2 * w)
+            b = b - lr * dout.sum(axis=0)
+        trace.append(float(np.mean(costs)))
+    return (W, c, w, b), trace

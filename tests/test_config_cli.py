@@ -408,6 +408,25 @@ class TestCli:
         assert "train_frac" in err and "of 2" in err
         assert not out.exists()
 
+    def test_sweep_without_a_training_session_exits_2(self, tmp_path, capsys):
+        # train_frac 0.1 of two sessions rounds to no training session
+        sessions = tmp_path / "sessions.tsv"
+        write_sessions(sessions, [make_seq([0, 1, 0, 1], "a"),
+                                  make_seq([1, 0, 1, 0], "b")])
+        config = tmp_path / "run.cfg"
+        config.write_text("k = 1\nn_hidden = 2\nn_obs = 2\nmin_support = 1\n"
+                          "hidden_width = 4\nepochs = 2\nmax_iters = 5\n"
+                          "train_frac = 0.1\n")
+        out = tmp_path / "curve.csv"
+        code = main([
+            "sweep", "--sessions", str(sessions), "--ks", "1",
+            "--out", str(out), "--config", str(config),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train_frac 0.1 leaves no training session of 2" in err
+        assert not out.exists()
+
     def test_train_importance_report(self, tmp_path, small_sessions_file,
                                      config_file):
         out = tmp_path / "model"

@@ -529,11 +529,13 @@ class TestEvaluate:
 
     def test_markov_model_smaller_than_a_session_symbol(self):
         markov = fit_markov([make_seq([0, 1, 1, 0])], n_obs=2, smoothing=1.0)
-        # a symbol out of range as the previous one, and as the last target
-        for symbols in ([0, 2, 1], [1, 0, 2]):
+        # a symbol out of range as the previous one, as the last target, and
+        # as a symbol that stride 2 never reads
+        cases = (([0, 2, 1], 1), ([1, 0, 2], 1), ([0, 1, 2], 2))
+        for symbols, stride in cases:
             sessions = [make_seq([0, 1], "x"), make_seq(symbols, "y")]
             with pytest.raises(DomainError, match="'y' contains symbol 2"):
-                evaluate(markov, sessions, stride=1)
+                evaluate(markov, sessions, stride=stride)
 
     def test_external_alphabet_smaller_than_a_target(self):
         sessions = [make_seq([0, 2, 1], "x")]

@@ -314,12 +314,12 @@ def _redundant_points(seed, p, k, m, zero_counts=False, n_rows=30):
 
 
 class TestPointsEntry:
-    @pytest.mark.parametrize("points", [
-        _points(4, 1000, 5, 6),                            # 1000 = 15*64 + 40
-        _redundant_points(9, 3000, 5, 6),                  # 3000 = 46*64 + 56
-        _redundant_points(10, 3000, 5, 6, zero_counts=True),
+    @pytest.mark.parametrize("points, all_distinct", [
+        (_points(4, 1000, 5, 6), True),                    # 1000 = 15*64 + 40
+        (_redundant_points(9, 3000, 5, 6), False),         # 3000 = 46*64 + 56
+        (_redundant_points(10, 3000, 5, 6, zero_counts=True), False),
     ], ids=["distinct", "redundant", "redundant-zero-counts"])
-    def test_bit_identical_to_the_dense_matrix(self, points):
+    def test_bit_identical_to_the_dense_matrix(self, points, all_distinct):
         preds, counts, targets = points
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
                             batch=64, seed=7)
@@ -329,18 +329,57 @@ class TestPointsEntry:
         )
         cols, table, _, _ = fusion._row_table(preds, counts, 6)
         assert table.shape[0] == distinct.shape[0]
+        assert (distinct.shape[0] == preds.shape[0]) == all_distinct
         # the distinct rows set the same columns as all the points
         assert np.array_equal(cols, fusion._set_columns(preds, counts, 6))
         X = encode_batch(preds, counts, 6)
-        Y = oracles.one_hot_targets(targets, 6)
-        ref, ref_trace = _dense_reference(X, Y, hyper)
-        for net, trace in (
+        grouped, grouped_trace = oracles.train_fusion_grouped(
+            preds, counts, targets, 6, hyper
+        )
+        trained = (
             train_fusion_points(preds, counts, targets, 6, hyper),
             train_fusion_arrays(X, targets, 6, hyper),
-        ):
+        )
+        for net, trace in trained:
+            assert trace == grouped_trace
+            for name, ref in zip(("W", "c", "w", "b"), grouped):
+                assert np.array_equal(getattr(net, name), ref)
+        ref, ref_trace = _dense_reference(
+            X, oracles.one_hot_targets(targets, 6), hyper
+        )
+        net, trace = trained[0]
+        if all_distinct:
+            # every minibatch's grouping is the identity: the per-point step
             assert trace == ref_trace
             for name in ("W", "c", "w", "b"):
                 assert np.array_equal(getattr(net, name), getattr(ref, name))
+        else:
+            # a row's gradient sums its points before the products, so the
+            # float32 sums round otherwise; the bounds of
+            # TestCompactColumns.test_close_to_the_dense_reference
+            np.testing.assert_allclose(trace, ref_trace, rtol=1e-6, atol=0)
+            for name in ("W", "c", "w", "b"):
+                np.testing.assert_allclose(
+                    getattr(net, name), getattr(ref, name), rtol=0, atol=1e-6
+                )
+
+    def test_bits_do_not_depend_on_the_table_row_order(self):
+        preds, counts, targets = _redundant_points(9, 3000, 5, 6)
+        hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
+                            batch=64, seed=7)
+        table, row_counts, inverse, cols, width = fusion._prepare(
+            *fusion._checked_points(preds, counts, 6), 6
+        )
+        perm = np.random.default_rng(0).permutation(table.shape[0])
+        moved_to = np.argsort(perm)             # old table row -> new row
+        a, a_trace = fusion._train(table, row_counts, inverse, cols, width,
+                                   targets, 6, hyper)
+        b, b_trace = fusion._train(table[perm], row_counts[perm],
+                                   moved_to[inverse], cols, width, targets,
+                                   6, hyper)
+        assert np.array(a_trace).tobytes() == np.array(b_trace).tobytes()
+        for name in ("W", "c", "w", "b"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_never_builds_the_dense_matrix(self):
         p, k, m = 50_000, 8, 19
