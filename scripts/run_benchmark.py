@@ -26,13 +26,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--k", type=int, default=None,
                         help="ensemble size (default: standard config)")
-    parser.add_argument("--parallel", action="store_true")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="training processes (0 = every usable CPU)")
     parser.add_argument("--out", help="directory for full reports")
     args = parser.parse_args()
 
     bench = standard_benchmark(n_train=args.train, n_test=args.test,
                                seed=args.seed)
-    overrides = {"base_seed": args.seed, "parallel": args.parallel}
+    overrides = {"base_seed": args.seed, "workers": args.workers}
     if args.k is not None:
         overrides["k"] = args.k
     config = standard_config(**overrides)
@@ -54,9 +55,8 @@ def main() -> int:
     rows.append(("hmm", evaluate(single, bench.test, config.stride), t_single))
 
     model = train_ensemble(bench.train, config)
-    mode = "parallel" if config.parallel else "sequential"
     rows.append((
-        f"fhmm (k={config.k}, {mode})",
+        f"fhmm (k={config.k}, workers={config.workers})",
         evaluate(model, bench.test, config.stride),
         model.timings["total"],
     ))

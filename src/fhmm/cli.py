@@ -54,10 +54,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="override: ensemble size")
     parser.add_argument("--seed", type=int, help="override: base seed")
     parser.add_argument("--stride", type=int, help="override: prediction stride")
-    parser.add_argument("--parallel", action="store_true", default=None,
-                        help="override: train HMMs in a process pool")
     parser.add_argument("--workers", type=int,
-                        help="override: pool size (0 = auto)")
+                        help="override: training processes (1 = in-process, "
+                        "0 = every usable CPU)")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -66,7 +65,6 @@ def _resolve_config(args) -> RunConfig:
         "k": args.k,
         "base_seed": args.seed,
         "stride": args.stride,
-        "parallel": args.parallel,
         "workers": args.workers,
     }
     for name, value in overrides.items():

@@ -11,9 +11,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-_BOOL_TRUE = {"true", "yes", "1", "on"}
-_BOOL_FALSE = {"false", "no", "0", "off"}
-
 
 @dataclass
 class RunConfig:
@@ -27,8 +24,7 @@ class RunConfig:
     epochs: int = 50
     batch: int = 32
     base_seed: int = 0
-    parallel: bool = False
-    workers: int = 0
+    workers: int = 1                    # 0 = every usable CPU
     stride: int = 1
     train_frac: float = 0.8
     tol: float = 1e-6
@@ -64,13 +60,6 @@ class RunConfig:
 def _convert(name: str, text: str, target_type: type):
     text = text.strip()
     try:
-        if target_type is bool:
-            low = text.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(text)
         return target_type(text)
     except ValueError as exc:
         raise ConfigError(
@@ -81,7 +70,7 @@ def _convert(name: str, text: str, target_type: type):
 def parse_config_text(text: str) -> RunConfig:
     """`key = value` lines; # starts a comment; unknown keys rejected."""
     known = {f.name: f.type for f in fields(RunConfig)}
-    types = {"int": int, "float": float, "bool": bool}
+    types = {"int": int, "float": float}
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

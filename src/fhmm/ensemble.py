@@ -166,8 +166,8 @@ def _usable_cpus() -> int:
 
 
 def _pool_size(workers: int) -> int:
-    """Worker processes for `workers` (0 = all usable CPUs): never more than
-    the usable CPUs, since more processes would only time-share them."""
+    """Training processes for `workers` (0 = all usable CPUs): never more
+    than the usable CPUs, since more processes would only time-share them."""
     cpus = _usable_cpus()
     return min(workers, cpus) if workers > 0 else cpus
 
@@ -199,10 +199,12 @@ def _pooled_fit_task(payload):
 
 def _deal(costs: list[int], n_shares: int) -> list[list[int]]:
     """Indices of `costs` dealt round-robin, largest first, into at most
-    `n_shares` shares: the shares hold equal numbers of items, within one,
-    and the costliest items go to different shares."""
+    `n_shares` shares, each in ascending order: the shares hold equal
+    numbers of items, within one, and the costliest items go to different
+    shares.  One share holds every index in order."""
     order = sorted(range(len(costs)), key=lambda i: -costs[i])
-    return [order[i::n_shares] for i in range(min(n_shares, len(costs)))]
+    return [sorted(order[i::n_shares])
+            for i in range(min(n_shares, len(costs)))]
 
 
 def _fit_selected(sessions, lengths: list[int], config: RunConfig,
@@ -216,52 +218,45 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
     share spent predicting.
 
     One stacked EM pass fits a share of the groups, and the same task then
-    predicts with the models it fitted.  Sequentially, one share holds every
-    group.  In parallel, the groups are dealt to the workers, so that no
-    worker waits for another worker's fits.  A fit's iteration count is not
-    known before it runs, but each model's predictions cost about the same,
-    so the deal gives the workers equal numbers of models and spreads the
-    costliest fits (length x sessions) over different workers.  A group's
-    arithmetic does not depend on the other groups in its pass, nor a
-    model's predictions on the other models in its stack, so the deal
-    changes no result.  Every payload carries all its task needs, so any
-    start method works; the session lists travel packed, which pickles as
-    two arrays, not one object per session.
+    predicts with the models it fitted.  The groups are dealt into one share
+    per training process (_pool_size), so that no process waits for
+    another's fits.  A fit's iteration count is not known before it runs,
+    but each model's predictions cost about the same, so the deal gives the
+    shares equal numbers of models and spreads the costliest fits
+    (length x sessions) over different shares.  A group's arithmetic does
+    not depend on the other groups in its pass, nor a model's predictions on
+    the other models in its stack, so the deal changes no result.  One share
+    is the selection order: it runs in this process on the sessions' own
+    arrays.  More run in a process pool, each payload complete, so any start
+    method works, and its session lists packed, which pickle as two arrays,
+    not one object per session.
     """
     for seqs in predict_on:
         _check_stage2(seqs, config.stride)
     by_length = dict(group_by_length(sessions))
     groups = [by_length[length] for length in lengths]
     seeds = [config.base_seed ^ length for length in lengths]
-    if config.parallel:
-        shares = _deal(
-            [length * len(g) for length, g in zip(lengths, groups)],
-            _pool_size(config.workers),
-        )
-    else:
-        shares = [list(range(len(lengths)))]
+    shares = _deal(
+        [length * len(g) for length, g in zip(lengths, groups)],
+        _pool_size(config.workers),
+    )
     payloads = [
         ([groups[i] for i in share], [seeds[i] for i in share], config)
         for share in shares
     ]
     if len(shares) == 1:
-        # in this process the sessions' own arrays serve, unpacked
         symbol_lists = [[s.symbols for s in seqs] for seqs in predict_on]
-        parts = [_fit_task(payloads[0] + (symbol_lists,))]
+        fits, preds, seconds = _fit_task(payloads[0] + (symbol_lists,))
     else:
         packed = [_packed(seqs) for seqs in predict_on]
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             parts = list(pool.map(
                 _pooled_fit_task, [p + (packed,) for p in payloads]
             ))
-    fits: list = [None] * len(lengths)
-    for share, (share_fits, _, _) in zip(shares, parts):
-        for i, fit in zip(share, share_fits):
-            fits[i] = fit
-    if shares == [list(range(len(lengths)))]:
-        # one share in selection order: its matrices are the result
-        preds = parts[0][1]
-    else:
+        fits = [None] * len(lengths)
+        for share, (share_fits, _, _) in zip(shares, parts):
+            for i, fit in zip(share, share_fits):
+                fits[i] = fit
         dtype = prediction_dtype([model for model, _ in fits])
         preds = []
         for j, first in enumerate(parts[0][1]):
@@ -269,11 +264,12 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
             for share, (_, share_preds, _) in zip(shares, parts):
                 out[:, share] = share_preds[j]
             preds.append(out)
+        seconds = max(part[2] for part in parts)
     results = [
         (length, model, fit_converged(trace, config.tol), len(trace))
         for length, (model, trace) in zip(lengths, fits)
     ]
-    return results, preds, max(seconds for _, _, seconds in parts)
+    return results, preds, seconds
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +281,8 @@ def train_ensemble(
 ) -> EnsembleModel:
     """Run the full training pipeline.
 
-    Parallel and sequential modes produce bit-identical models: each HMM's
-    seed is base_seed XOR its length key, so results do not depend on
+    Every `config.workers` produces bit-identical models: each HMM's seed
+    is base_seed XOR its length key, so results do not depend on
     scheduling.  HMMs that stop at the iteration cap are recorded as warnings
     on the model, not failures.  The task that fits the HMMs also runs
     stage 2 with them; `timings["stage2"]` holds the longest share's

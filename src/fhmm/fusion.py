@@ -280,7 +280,7 @@ def train_fusion_points(
     """Mini-batch gradient descent on a (P, K) prediction matrix, its (P,)
     counts and (P,) targets; returns the net and per-epoch mean cost.
 
-    The points are checked and prepared once (see _prepare): the distinct
+    The points are checked and prepared once (see _row_table): the distinct
     (prediction row, count) pairs are encoded once into a table, and each
     minibatch runs the network once per distinct row it holds (see _train),
     so the dense (P, K*M+1) input matrix is never built.  The table holds
@@ -289,17 +289,7 @@ def train_fusion_points(
     """
     preds, counts = _checked_points(preds, counts, n_obs)
     targets = _checked_targets(targets, n_obs, preds.shape[0])
-    return _train(*_prepare(preds, counts, n_obs), targets, n_obs, hyper)
-
-
-def _prepare(preds: np.ndarray, counts: np.ndarray, n_obs: int):
-    """_train's (table, row_counts, inverse, cols, width) for a checked
-    (P, K) matrix and its counts, which any number of training runs on these
-    points can share."""
-    width = preds.shape[1] * n_obs + 1
-    cols, table, row_counts, inverse = _row_table(preds, counts, n_obs)
-    counted = cols.size and cols[-1] == width - 1
-    return table, row_counts if counted else None, inverse, cols, width
+    return _train(*_row_table(preds, counts, n_obs), targets, n_obs, hyper)
 
 
 def _distinct(keys, n: int, step: int, void: np.dtype
@@ -318,14 +308,16 @@ def _distinct(keys, n: int, step: int, void: np.dtype
     return distinct, inverse
 
 
-def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (prediction row, float32 count) pairs of a checked
-    (P, K) matrix and its counts: the input columns the P points set
-    (_set_columns over the D pairs, so the count column is set when some
-    float32 count is nonzero), their one-hot rows in those columns as a
-    (D, cols.size) bool table, their (D,) float32 counts, and the (P,)
-    index of each point's pair.
+def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int):
+    """_train's leading (table, row_counts, inverse, cols, width) for a
+    checked (P, K) matrix and its counts, which any number of training runs
+    on these points can share.  Over the D distinct (prediction row, float32
+    count) pairs: their one-hot rows in the columns `cols` as a
+    (D, cols.size) bool table; their (D,) float32 counts, or None when cols
+    lacks the count column; the (P,) index of each point's pair; cols, the
+    input columns the P points set (_set_columns over the D pairs, so the
+    count column is set when some float32 count is nonzero); and the input
+    width K*M+1.
 
     A point's float32 input row is its table row as float32 with the count
     column, if cols holds it, set to its pair's count: the bits of
@@ -351,14 +343,16 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int
     distinct = distinct.view(key)
     row_counts = np.ascontiguousarray(distinct["count"])
     cols = _set_columns(distinct["preds"], row_counts, n_obs)
+    width = k * n_obs + 1
     table = np.empty((distinct.size, cols.size), dtype=bool)
-    step = _chunk_rows(k * n_obs + 1)
+    step = _chunk_rows(width)
     for start in range(0, distinct.size, step):
         rows = slice(start, start + step)
         table[rows] = _encode_rows(
             distinct["preds"][rows], row_counts[rows], n_obs, cols, bool
         )
-    return cols, table, row_counts, inverse
+    counted = cols.size and cols[-1] == width - 1
+    return table, row_counts if counted else None, inverse, cols, width
 
 
 def train_fusion_arrays(
@@ -492,7 +486,8 @@ def feature_importance(
 
     feature_names must list the K model features in block order; the count
     feature is appended automatically.  n_retrain must be at least 1.  The
-    points are prepared once (_prepare); retraining i has seed hyper.seed + i.
+    points are prepared once (_row_table); retraining i has seed
+    hyper.seed + i.
     """
     if n_retrain < 1:
         raise DomainError(f"n_retrain must be at least 1, got {n_retrain}")
@@ -501,7 +496,7 @@ def feature_importance(
     if len(feature_names) != k:
         raise DomainError("need one feature name per prediction block")
     targets = _checked_targets(targets, n_obs, preds.shape[0])
-    prepared = _prepare(preds, counts, n_obs)
+    prepared = _row_table(preds, counts, n_obs)
     all_masses = []
     for i in range(n_retrain):
         run = replace(hyper, seed=hyper.seed + i)

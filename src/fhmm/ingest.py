@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .hmm import HmmModel, sample_batch
 from .sequences import StateSequence
+from . import serialize
 
 N_STATES = 19
 
@@ -98,8 +99,9 @@ class EventMapping:
 
 
 def load_mapping(path: str | Path) -> EventMapping:
-    doc = json.loads(Path(path).read_text())
-    return _mapping_from_doc(doc)
+    """The mapping file at `path`; one that is not a mapping document raises
+    DomainError naming the file."""
+    return serialize.read_checked(path, _mapping_from_doc)
 
 
 def _mapping_from_doc(doc: dict) -> EventMapping:
@@ -163,9 +165,10 @@ def parse_logs(
     """Parse line-delimited JSON events into per-session state sequences.
 
     Events are grouped by session id and ordered by timestamp (ties keep
-    input order).  Unmappable events and malformed lines are counted in the
-    skip report, never fatal.  Sessions shorter than two events are dropped
-    and reported.
+    input order).  Unmappable events (a wrongly typed eventid, session or
+    input among them) and malformed lines are counted in the skip report,
+    never fatal.  Sessions shorter than two events are dropped and
+    reported.
     """
     mapping = mapping or default_mapping()
     report = SkipReport()
@@ -187,13 +190,18 @@ def parse_logs(
             continue
         eventid = record.get("eventid") or ""
         session = record.get("session") or ""
+        command = record.get("input")
         ts = _parse_timestamp(record.get("timestamp", ""))
         state = None
-        if eventid and session and ts is not None:
-            state = mapping.map_event(eventid, record.get("input"))
+        typed = (isinstance(eventid, str) and isinstance(session, str)
+                 and (command is None or isinstance(command, str)))
+        if typed and eventid and session and ts is not None:
+            state = mapping.map_event(eventid, command)
         if state is None:
             report.unmapped_events += 1
-            key = eventid or "<missing>"
+            # a wrongly typed id counts under its JSON text
+            key = eventid if isinstance(eventid, str) else json.dumps(eventid)
+            key = key or "<missing>"
             report.unmapped_by_event[key] = report.unmapped_by_event.get(key, 0) + 1
             continue
         report.mapped_events += 1
@@ -415,11 +423,12 @@ def read_sessions(path: str | Path) -> list[StateSequence]:
                 symbols = np.array(
                     [int(tok) for tok in states.split(",")], dtype=np.int64
                 )
-            except ValueError as exc:
+                sessions.append(StateSequence(symbols, session_id=session_id))
+            # a DomainError from StateSequence is a ValueError
+            except (ValueError, OverflowError) as exc:
                 raise DomainError(
-                    f"{path}:{line_no}: malformed session line"
+                    f"{path}:{line_no}: malformed session line: {exc}"
                 ) from exc
-            sessions.append(StateSequence(symbols, session_id=session_id))
     if not sessions:
         raise DomainError(f"{path}: no sessions found")
     return sessions

@@ -16,7 +16,6 @@ from .errors import DomainError, SelectionError
 from .sequences import StateSequence, joined_symbols
 from . import serialize
 
-DEFAULT_K = 38
 DEFAULT_MIN_SUPPORT = 10
 K_GENERALIZATION_WARNING = 50
 

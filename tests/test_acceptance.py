@@ -65,7 +65,7 @@ def trained_pair(benchmark_data, tmp_path_factory):
         times["sequential"].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         models["parallel"] = train_ensemble(
-            benchmark_data.train, standard_config(parallel=True, workers=4)
+            benchmark_data.train, standard_config(workers=4)
         )
         times["parallel"].append(time.perf_counter() - t0)
     save_ensemble(models["sequential"], root / "sequential")

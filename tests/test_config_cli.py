@@ -30,13 +30,13 @@ class TestConfigParsing:
         text = """
         # pipeline settings
         k = 6
-        parallel = true
+        workers = 2
         lr = 0.05      # learning rate
         stride = 3
         """
         config = parse_config_text(text)
         assert config.k == 6
-        assert config.parallel is True
+        assert config.workers == 2
         assert config.lr == pytest.approx(0.05)
         assert config.stride == 3
 
@@ -48,6 +48,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text("loss = quadratic")
         assert "unknown config key 'loss'" in str(err.value)
+        # `workers` alone picks in-process or pooled training
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("parallel = true")
+        assert "unknown config key 'parallel'" in str(err.value)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -168,10 +172,21 @@ class TestCli:
         assert main([
             "train", "--sessions", str(small_sessions_file),
             "--out", str(out_par), "--config", str(config_file),
-            "--parallel", "--workers", "2",
+            "--workers", "2",
         ]) == 0
         for name in sorted(p.name for p in out_seq.iterdir()):
             assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
+
+    def test_parallel_flag_is_gone(self, tmp_path, small_sessions_file,
+                                   capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "train", "--sessions", str(small_sessions_file),
+                "--out", str(tmp_path / "m"), "--parallel",
+            ])
+        assert exit_.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_invalid_config_key_exits_2(self, tmp_path, small_sessions_file,
                                         capsys):
@@ -359,6 +374,42 @@ class TestCli:
         lines = corr_path.read_text().strip().splitlines()
         assert lines[0] == "# fhmm-correlation/1"
         assert len(lines) == 2 + 2  # header rows + one per model
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ('{"rules": []}', "missing field 'alphabet'"),
+    ], ids=["not-json", "no-alphabet"])
+    def test_bad_mapping_file_exits_2(self, tmp_path, capsys, text, message):
+        log = tmp_path / "cowrie.json"
+        log.write_text("\n".join(render_cowrie_lines(
+            [make_seq([13, 14], "s")]
+        )) + "\n")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(text)
+        code = main([
+            "ingest", "--logs", str(log), "--mapping", str(mapping),
+            "--out", str(tmp_path / "out.tsv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {mapping}: " in err and message in err
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("states, message", [
+        ("1,-2,1", "symbols must be non-negative"),
+        ("1,99999999999999999999", "too large"),
+    ], ids=["negative", "beyond-int64"])
+    def test_bad_symbol_names_its_line_and_exits_2(self, tmp_path, capsys,
+                                                   states, message):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(f"# fhmm-sessions/1\na\t0,1,0\nb\t{states}\n")
+        code = main([
+            "partition", "--sessions", str(sessions),
+            "--out", str(tmp_path / "plan.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {sessions}:3: " in err and message in err
 
     def test_missing_log_file_exits_1(self, tmp_path):
         code = main([

@@ -149,7 +149,7 @@ class TestTrainEnsemble:
         monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
         parallel = train_ensemble(
             corpus.sessions,
-            dataclasses.replace(config, parallel=True, workers=2),
+            dataclasses.replace(config, workers=2),
         )
         for timed in (model, parallel):
             assert set(timed.timings) == {
@@ -162,7 +162,7 @@ class TestTrainEnsemble:
         corpus = _small_corpus(seed=5)
         seq_model = train_ensemble(corpus.sessions, _small_config())
         par_model = train_ensemble(
-            corpus.sessions, _small_config(parallel=True, workers=2)
+            corpus.sessions, _small_config(workers=2)
         )
         save_ensemble(seq_model, tmp_path / "seq")
         save_ensemble(par_model, tmp_path / "par")
@@ -174,7 +174,7 @@ class TestTrainEnsemble:
     def test_parallel_under_spawn_matches_sequential_bytes(self, tmp_path):
         sessions = _small_corpus(seed=6).sessions
         write_sessions(tmp_path / "sessions.tsv", sessions)
-        config = _small_config(parallel=True, workers=2)
+        config = _small_config(workers=2)
         (tmp_path / "config.json").write_text(json.dumps(config.to_doc()))
         (tmp_path / "train.py").write_text(SPAWN_TRAIN)
         env = dict(os.environ)
@@ -195,6 +195,33 @@ class TestTrainEnsemble:
             a = (tmp_path / "seq" / name).read_bytes()
             b = (tmp_path / "spawn" / name).read_bytes()
             assert a == b, f"{name} differs between spawn and sequential"
+
+    def test_one_share_trains_without_a_pool(self, tmp_path, monkeypatch):
+        # workers = 1, or one usable CPU, is one share in this process; it
+        # writes the bytes of a training in two pool workers
+        corpus = _small_corpus(seed=5)
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        save_ensemble(
+            train_ensemble(corpus.sessions, _small_config(workers=2)),
+            tmp_path / "pooled",
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        names = sorted(p.name for p in (tmp_path / "pooled").iterdir())
+        for workers, cpus in [(1, 2), (2, 1)]:
+            monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"workers-{workers}-cpus-{cpus}"
+            save_ensemble(
+                train_ensemble(corpus.sessions, _small_config(workers=workers)),
+                out,
+            )
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                a = (tmp_path / "pooled" / name).read_bytes()
+                assert (out / name).read_bytes() == a, (workers, cpus, name)
 
     def test_k1_fusion_tracks_single_hmm(self):
         # when the lone specialist is near-perfect on deterministic data,
@@ -224,8 +251,10 @@ class TestTrainEnsemble:
 class TestFitSelected:
     def test_deal_spreads_costliest_over_equal_shares(self):
         shares = ensemble._deal([5, 40, 7, 30, 12, 9], 3)
-        assert shares == [[1, 5], [3, 2], [4, 0]]
+        assert shares == [[1, 5], [2, 3], [0, 4]]
         assert ensemble._deal([3, 1], 4) == [[0], [1]]
+        # one share is the selection order, which the in-process route uses
+        assert ensemble._deal([5, 40, 7], 1) == [[0, 1, 2]]
 
     def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
@@ -246,7 +275,7 @@ class TestFitSelected:
         )
         got, preds, _ = ensemble._fit_selected(
             sessions, lengths,
-            dataclasses.replace(config, parallel=True, workers=workers),
+            dataclasses.replace(config, workers=workers),
             [sessions, held_out],
         )
         assert [row[0] for row in got] == lengths
@@ -326,7 +355,7 @@ class TestCollectStage2:
         sessions = _small_corpus(seed=4, n=300).sessions
         held_out = _small_corpus(seed=6, n=120).sessions
         config = _small_config(
-            max_iters=30, n_obs=n_obs, stride=2, parallel=True, workers=3
+            max_iters=30, n_obs=n_obs, stride=2, workers=3
         )
         got, preds, _ = ensemble._fit_selected(
             sessions, _common_lengths(sessions), config, [sessions, held_out]
@@ -643,7 +672,7 @@ class TestSweepK:
         want = sweep_k(corpus.sessions, [1, 2], config)
         got = sweep_k(
             corpus.sessions, [1, 2],
-            dataclasses.replace(config, parallel=True, workers=2),
+            dataclasses.replace(config, workers=2),
         )
         assert got == want
 

@@ -327,7 +327,7 @@ class TestPointsEntry:
         distinct = np.unique(
             np.column_stack([preds, counts.astype(np.float32)]), axis=0
         )
-        cols, table, _, _ = fusion._row_table(preds, counts, 6)
+        table, _, _, cols, _ = fusion._row_table(preds, counts, 6)
         assert table.shape[0] == distinct.shape[0]
         assert (distinct.shape[0] == preds.shape[0]) == all_distinct
         # the distinct rows set the same columns as all the points
@@ -367,7 +367,7 @@ class TestPointsEntry:
         preds, counts, targets = _redundant_points(9, 3000, 5, 6)
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
                             batch=64, seed=7)
-        table, row_counts, inverse, cols, width = fusion._prepare(
+        table, row_counts, inverse, cols, width = fusion._row_table(
             *fusion._checked_points(preds, counts, 6), 6
         )
         perm = np.random.default_rng(0).permutation(table.shape[0])
@@ -402,7 +402,9 @@ class TestPointsEntry:
             preds, counts, _ = _redundant_points(11, p, k, m, n_rows=3000)
             tracemalloc.start()
             try:
-                cols, table, _, inverse = fusion._row_table(preds, counts, m)
+                table, _, inverse, cols, _ = fusion._row_table(
+                    preds, counts, m
+                )
                 peak = tracemalloc.get_traced_memory()[1] - inverse.nbytes
             finally:
                 tracemalloc.stop()

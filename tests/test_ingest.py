@@ -153,6 +153,32 @@ class TestParseLogs:
         )
         assert report.kept_events == sum(len(s) for s in sessions)
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("input", 5, "cowrie.command.input"),
+        ("eventid", 7, "7"),
+        ("session", ["a"], "cowrie.command.input"),
+    ], ids=["input", "eventid", "session"])
+    def test_wrongly_typed_field_is_unmapped(self, field, value, key):
+        bad = {"eventid": "cowrie.command.input", "session": "a",
+               "timestamp": "2017-04-01T10:00:01Z", "input": "ls"}
+        bad[field] = value
+        lines = [
+            _event("cowrie.login.failed", "a", "2017-04-01T10:00:00Z"),
+            json.dumps(bad),
+            _event("cowrie.login.success", "a", "2017-04-01T10:00:02Z"),
+        ]
+        sessions, report = parse_logs(lines)
+        assert report.unmapped_events == 1
+        assert report.unmapped_by_event == {key: 1}
+        assert report.mapped_events == 2
+        assert (
+            len(report.malformed_lines) + report.unmapped_events
+            + report.mapped_events == report.total_lines == 3
+        )
+        assert [s.symbols.tolist() for s in sessions] == [[13, 14]]
+        # the report still sorts and serializes
+        json.dumps(report.to_doc())
+
     def test_round_trip_with_ground_truth(self):
         rng = np.random.default_rng(6)
         truth = [
