@@ -53,8 +53,6 @@ class FusionNetwork:
     c: np.ndarray         # hidden bias, (H,)
     w: np.ndarray         # hidden -> output, (H, M)
     b: np.ndarray         # output bias, (M,)
-    l2: float
-    lr: float
 
     @property
     def n_inputs(self) -> int:
@@ -159,8 +157,6 @@ def init_network(
         c=np.zeros(h),
         w=rng.uniform(-wout, wout, size=(h, n_obs)),
         b=np.zeros(n_obs),
-        l2=hyper.l2,
-        lr=hyper.lr,
     )
 
 
@@ -226,7 +222,7 @@ def fused_predictions(
 
 
 def cost_and_gradients(
-    net: FusionNetwork, X: np.ndarray, Y: np.ndarray
+    net: FusionNetwork, X: np.ndarray, Y: np.ndarray, l2: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Cost and analytic gradients for a batch:
     C = (1/2n) sum ||y - out||^2 + (l2/2)(||W||^2 + ||w||^2).
@@ -234,11 +230,11 @@ def cost_and_gradients(
     This is the training step (_step) with each point its own row: a count
     of 1 and its own target as the row's target sum.
     """
-    return _step(net, X, slice(None), np.arange(X.shape[0]), Y, 1, Y)
+    return _step(net, X, slice(None), np.arange(X.shape[0]), Y, 1, Y, l2)
 
 
 def _step(net: FusionNetwork, X: np.ndarray, cols, inv: np.ndarray,
-          Y: np.ndarray, m, S: np.ndarray
+          Y: np.ndarray, m, S: np.ndarray, l2: float
           ) -> tuple[float, dict[str, np.ndarray]]:
     """cost_and_gradients for a batch of n points whose U distinct input rows
     are X: point i has row inv[i] and target Y[i], m is each row's count of
@@ -260,14 +256,14 @@ def _step(net: FusionNetwork, X: np.ndarray, cols, inv: np.ndarray,
         diff = out.take(inv, axis=0) - Y
         data_cost = float((diff ** 2).sum()) / (2.0 * n)
         dout = (m * out - S) / n
-        cost = data_cost + 0.5 * net.l2 * (
+        cost = data_cost + 0.5 * l2 * (
             float((net.W ** 2).sum()) + float((net.w ** 2).sum())
         )
-        dw = hidden.T @ dout + net.l2 * net.w
+        dw = hidden.T @ dout + l2 * net.w
         db = dout.sum(axis=0)
         dhidden = dout @ net.w.T
         dz = dhidden * (z > 0.0)
-        dW = net.l2 * net.W
+        dW = l2 * net.W
         dW[cols] += X.T @ dz
         dc = dz.sum(axis=0)
     return cost, {"W": dW, "c": dc, "w": dw, "b": db}
@@ -292,40 +288,27 @@ def train_fusion_points(
     return _train(*_row_table(preds, counts, n_obs), targets, n_obs, hyper)
 
 
-def _distinct(keys, n: int, step: int, void: np.dtype
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct `void` keys of n points, sorted, and the (n,) index of
-    each point's key among them; keys(start) gives the keys of the points
-    start:start+step.  The chunks are merged into a running union of the
-    distinct keys, so besides the index no temporary grows with n (one
-    np.unique over all n keys would hold several copies of them)."""
-    distinct = np.empty(0, dtype=void)
-    for start in range(0, n, step):
-        distinct = np.union1d(distinct, keys(start))
-    inverse = np.empty(n, dtype=np.intp)
-    for start in range(0, n, step):
-        inverse[start : start + step] = np.searchsorted(distinct, keys(start))
-    return distinct, inverse
-
-
 def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int):
-    """_train's leading (table, row_counts, inverse, cols, width) for a
-    checked (P, K) matrix and its counts, which any number of training runs
-    on these points can share.  Over the D distinct (prediction row, float32
-    count) pairs: their one-hot rows in the columns `cols` as a
-    (D, cols.size) bool table; their (D,) float32 counts, or None when cols
-    lacks the count column; the (P,) index of each point's pair; cols, the
-    input columns the P points set (_set_columns over the D pairs, so the
-    count column is set when some float32 count is nonzero); and the input
-    width K*M+1.
+    """_train's leading (table, inverse, cols, width) for a checked (P, K)
+    matrix and its counts, which any number of training runs on these
+    points can share.  Over the D distinct (prediction row, float32 count)
+    pairs: their input rows in the columns `cols` as a (D,) record table;
+    the (P,) index of each point's pair; cols, the input columns the P
+    points set (_set_columns over the D pairs, so the count column is set
+    when some float32 count is nonzero); and the input width K*M+1.
 
-    A point's float32 input row is its table row as float32 with the count
-    column, if cols holds it, set to its pair's count: the bits of
+    A record holds a row's one-hot columns as bools ("hot") and, if cols
+    holds the count column, its float32 count ("count", of width 0 or 1),
+    so the row's float32 input is the two fields side by side: the bits of
     _encode_rows(..., cols, np.float32), which rounds each count to float32
-    the same way.  The keys are the predictions narrowed as in
-    prediction_dtype plus the float32 count, found by _distinct
-    PREDICT_BYTES / 8 bytes of them at a time.  The table is encoded in
-    fused_predictions' chunks.
+    the same way, at a quarter of the bytes (a float32 table would hold
+    half the dense float64 matrix when every point is its own pair).  The
+    keys are the predictions narrowed as in prediction_dtype plus the
+    float32 count, PREDICT_BYTES / 8 bytes of them at a time: each chunk
+    merges into a running union of the distinct keys, so besides the index
+    no temporary grows with P (one np.unique over all P keys would hold
+    several copies of them).  The table is encoded in fused_predictions'
+    chunks.
     """
     n, k = preds.shape
     key = np.dtype([("preds", np.min_scalar_type(n_obs - 1), (k,)),
@@ -339,55 +322,65 @@ def _row_table(preds: np.ndarray, counts: np.ndarray, n_obs: int):
         block["count"] = counts[start : start + step]
         return block.view(void)
 
-    distinct, inverse = _distinct(keys, n, step, void)
+    distinct = np.empty(0, dtype=void)
+    for start in range(0, n, step):
+        distinct = np.union1d(distinct, keys(start))
+    inverse = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        inverse[start : start + step] = np.searchsorted(distinct, keys(start))
     distinct = distinct.view(key)
-    row_counts = np.ascontiguousarray(distinct["count"])
-    cols = _set_columns(distinct["preds"], row_counts, n_obs)
+    cols = _set_columns(distinct["preds"], distinct["count"], n_obs)
     width = k * n_obs + 1
-    table = np.empty((distinct.size, cols.size), dtype=bool)
+    counted = int(cols.size > 0 and cols[-1] == width - 1)
+    hot = cols[: cols.size - counted]
+    table = np.empty(distinct.size, dtype=[("hot", bool, (hot.size,)),
+                                           ("count", np.float32, (counted,))])
     step = _chunk_rows(width)
     for start in range(0, distinct.size, step):
         rows = slice(start, start + step)
-        table[rows] = _encode_rows(
-            distinct["preds"][rows], row_counts[rows], n_obs, cols, bool
+        table["hot"][rows] = _encode_rows(
+            distinct["preds"][rows], distinct["count"][rows], n_obs, hot, bool
         )
-    counted = cols.size and cols[-1] == width - 1
-    return table, row_counts if counted else None, inverse, cols, width
+    table["count"] = distinct["count"][:, None]
+    return table, inverse, cols, width
 
 
 def train_fusion_arrays(
     X: np.ndarray, targets: np.ndarray, n_obs: int, hyper: FusionHyper
 ) -> tuple[FusionNetwork, list[float]]:
-    """train_fusion_points on inputs already encoded as one (P, D) matrix.
+    """train_fusion_points on the points that X encodes.
 
-    The table holds the distinct float32 rows of X's set columns, found by
-    _distinct as byte keys, so it trains the bits train_fusion_points
-    trains on the points X encodes.
+    X must be the matrix encode_batch returns: K one-hot blocks of width
+    n_obs, each holding one 1 and otherwise 0, then the count column; any
+    other raises DomainError.  It is read back in fused_predictions'
+    chunks.
     """
-    targets = _checked_targets(targets, n_obs, X.shape[0])
-    cols = np.flatnonzero(X.any(axis=0))
-    void = np.dtype((np.void, 4 * cols.size))
-    step = max(1, PREDICT_BYTES // (8 * void.itemsize))
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] <= n_obs or (X.shape[1] - 1) % n_obs:
+        raise DomainError(
+            f"an encoded matrix has K one-hot blocks of width {n_obs} and a "
+            f"count column, got shape {X.shape}"
+        )
+    k = (X.shape[1] - 1) // n_obs
+    preds = np.empty((X.shape[0], k), dtype=np.min_scalar_type(n_obs - 1))
+    step = _chunk_rows(X.shape[1])
+    for start in range(0, X.shape[0], step):
+        blocks = X[start : start + step, :-1]
+        blocks = blocks.reshape(blocks.shape[0], k, n_obs)
+        ones = blocks == 1
+        if not (ones | (blocks == 0)).all() or (ones.sum(axis=2) != 1).any():
+            raise DomainError("a one-hot block must hold one 1, otherwise 0")
+        preds[start : start + step] = ones.argmax(axis=2)
+    return train_fusion_points(preds, X[:, -1], targets, n_obs, hyper)
 
-    def keys(start):
-        block = X[start : start + step, cols]
-        return np.ascontiguousarray(block, dtype=np.float32).view(void).ravel()
 
-    distinct, inverse = _distinct(keys, X.shape[0], step, void)
-    table = distinct.view(np.float32).reshape(distinct.size, cols.size)
-    return _train(table, None, inverse, cols, X.shape[1], targets, n_obs,
-                  hyper)
-
-
-def _train(table: np.ndarray, row_counts: np.ndarray | None,
-           inverse: np.ndarray, cols: np.ndarray, n_inputs: int,
-           targets: np.ndarray, n_obs: int, hyper: FusionHyper
+def _train(table: np.ndarray, inverse: np.ndarray, cols: np.ndarray,
+           n_inputs: int, targets: np.ndarray, n_obs: int, hyper: FusionHyper
            ) -> tuple[FusionNetwork, list[float]]:
-    """The training loop over points whose inputs are rows of a table:
-    point i's input holds, in the columns `cols`, row inverse[i] of
-    `table` as float32 with, unless row_counts is None, its last column
-    set to row_counts[inverse[i]]; every other column is zero in every
-    point.
+    """The training loop over points whose inputs are rows of a record
+    table (see _row_table): point i's float32 input holds, in the columns
+    `cols`, record inverse[i] of `table`; every other column is zero in
+    every point.
 
     Each minibatch runs one _step over its U distinct table rows, ordered
     by their first point in the minibatch, so its bits depend on the
@@ -397,14 +390,17 @@ def _train(table: np.ndarray, row_counts: np.ndarray | None,
     SGD over the same points.
 
     The steps run in float32: the initial network is rounded once, and
-    numpy keeps float32 when the arrays are scaled by Python floats.  The
-    returned weights are float64 arrays that hold the float32 values
-    exactly, so what is saved, loaded and predicted with stays float64.
+    numpy keeps float32 when the arrays are scaled by the rates as Python
+    floats.  The returned weights are float64 arrays that hold the float32
+    values exactly, so what is saved, loaded and predicted with stays
+    float64.
     """
     hyper.validate()
     n = targets.size
     if n == 0:
         raise DomainError("need at least one training example")
+    lr, l2 = float(hyper.lr), float(hyper.l2)
+    hot = table.dtype["hot"].shape[0]
     eye = np.eye(n_obs, dtype=np.float32)
     net = _cast(init_network(n_inputs, n_obs, hyper), np.float32)
     rng = np.random.default_rng(hyper.seed + 1)
@@ -426,31 +422,31 @@ def _train(table: np.ndarray, row_counts: np.ndarray | None,
             place_of[rows] = places[: rows.size]
             inv = place_of.take(at)
             t = targets.take(idx)
-            X = table.take(rows, axis=0).astype(np.float32, copy=False)
-            if row_counts is not None:
-                X[:, -1] = row_counts.take(rows)
+            record = table.take(rows)
+            X = np.empty((rows.size, cols.size), dtype=np.float32)
+            X[:, :hot] = record["hot"]
+            X[:, hot:] = record["count"]
             m = np.bincount(inv, minlength=rows.size).astype(np.float32)
             S = np.bincount(inv * n_obs + t, minlength=rows.size * n_obs)
             S = S.astype(np.float32).reshape(rows.size, n_obs)
             cost, grads = _step(net, X, cols, inv, eye.take(t, axis=0),
-                                m[:, None], S)
+                                m[:, None], S, l2)
             if not np.isfinite(cost):
                 raise TrainingDivergedError(epoch)
-            net.W -= net.lr * grads["W"]
-            net.c -= net.lr * grads["c"]
-            net.w -= net.lr * grads["w"]
-            net.b -= net.lr * grads["b"]
+            net.W -= lr * grads["W"]
+            net.c -= lr * grads["c"]
+            net.w -= lr * grads["w"]
+            net.b -= lr * grads["b"]
             epoch_costs.append(cost)
         trace.append(float(np.mean(epoch_costs)))
     return _cast(net, np.float64), trace
 
 
 def _cast(net: FusionNetwork, dtype) -> FusionNetwork:
-    """`net` with its weights as `dtype` arrays and its rates as Python
-    floats, which scale an array without changing its dtype."""
+    """`net` with its weights as `dtype` arrays."""
     return FusionNetwork(
         W=net.W.astype(dtype), c=net.c.astype(dtype), w=net.w.astype(dtype),
-        b=net.b.astype(dtype), l2=float(net.l2), lr=float(net.lr),
+        b=net.b.astype(dtype),
     )
 
 
@@ -528,8 +524,6 @@ FUSION_SCHEMA = "fhmm-fusion/1"
 def fusion_to_doc(net: FusionNetwork) -> dict:
     return {
         "schema": FUSION_SCHEMA,
-        "l2": serialize.fmt_float(net.l2),
-        "lr": serialize.fmt_float(net.lr),
         "W": serialize.array_to_doc(net.W),
         "c": serialize.array_to_doc(net.c),
         "w": serialize.array_to_doc(net.w),
@@ -538,16 +532,15 @@ def fusion_to_doc(net: FusionNetwork) -> dict:
 
 
 def fusion_from_doc(doc: dict) -> FusionNetwork:
-    """The network in `doc`; a non-finite weight, l2 or lr raises
-    DomainError.  The "loss" key of older files is ignored: scores never
-    depended on it."""
+    """The network in `doc`; a non-finite weight raises DomainError.  The
+    "loss", "l2" and "lr" keys of older files are ignored: scores never
+    depended on them."""
     if doc.get("schema") != FUSION_SCHEMA:
         raise DomainError(f"unexpected fusion schema {doc.get('schema')!r}")
     weights = {
         name: serialize.array_from_doc(doc[name]) for name in ("W", "c", "w", "b")
     }
-    rates = {name: float(doc[name]) for name in ("l2", "lr")}
-    for name, value in {**weights, **rates}.items():
+    for name, value in weights.items():
         if not np.isfinite(value).all():
             raise DomainError(f"field {name!r} has non-finite entries")
-    return FusionNetwork(**weights, **rates)
+    return FusionNetwork(**weights)

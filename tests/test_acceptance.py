@@ -184,7 +184,7 @@ class TestCriterion4FusionGradients:
             net = init_network(k * m + 1, m, hyper)
             X = rng.random((4, k * m + 1))
             Y = oracles.one_hot_targets(rng.integers(0, m, size=4), m)
-            _, grads = cost_and_gradients(net, X, Y)
+            _, grads = cost_and_gradients(net, X, Y, hyper.l2)
             for name in ("W", "c", "w", "b"):
                 flat = getattr(net, name).ravel()
                 probe = rng.choice(flat.size, size=min(8, flat.size), replace=False)
@@ -192,7 +192,7 @@ class TestCriterion4FusionGradients:
                     def cost_at(v, idx=idx, flat=flat):
                         old = flat[idx]
                         flat[idx] = v
-                        c, _ = cost_and_gradients(net, X, Y)
+                        c, _ = cost_and_gradients(net, X, Y, hyper.l2)
                         flat[idx] = old
                         return c
 

@@ -109,6 +109,7 @@ SPAWN_TRAIN = """
 import json, multiprocessing, sys
 from pathlib import Path
 
+import fhmm.ensemble
 from fhmm.config import RunConfig
 from fhmm.ensemble import save_ensemble, train_ensemble
 from fhmm.ingest import read_sessions
@@ -117,6 +118,10 @@ if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     root = Path(sys.argv[1])
     config = RunConfig(**json.loads((root / "config.json").read_text()))
+    # two usable CPUs even on a one-CPU runner: only this process sizes
+    # the pool, so the spawned workers need no patch
+    fhmm.ensemble._usable_cpus = lambda: 2
+    assert fhmm.ensemble._pool_size(config.workers) == 2
     model = train_ensemble(read_sessions(root / "sessions.tsv"), config)
     save_ensemble(model, root / "spawn")
 """
@@ -158,7 +163,9 @@ class TestTrainEnsemble:
             assert all(seconds >= 0 for seconds in timed.timings.values())
             assert timed.timings["stage2"] > 0
 
-    def test_parallel_matches_sequential_bitwise(self, tmp_path):
+    def test_parallel_matches_sequential_bitwise(self, tmp_path, monkeypatch):
+        # enough CPUs that the fits and stage 2 run in two workers
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
         corpus = _small_corpus(seed=5)
         seq_model = train_ensemble(corpus.sessions, _small_config())
         par_model = train_ensemble(

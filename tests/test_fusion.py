@@ -110,7 +110,7 @@ class TestForward:
     def test_zero_network_predicts_zero(self):
         net = FusionNetwork(
             W=np.zeros((4, 3)), c=np.zeros(3), w=np.zeros((3, 2)),
-            b=np.zeros(2), l2=0.0, lr=0.1,
+            b=np.zeros(2),
         )
         scores, pred = forward(net, np.array([1.0, 0, 0, 0.5]))
         np.testing.assert_array_equal(scores, [0.0, 0.0])
@@ -121,9 +121,7 @@ class TestForward:
         k, m, h = 2, 3, 3
         W = np.zeros((k * m + 1, h))
         W[:m, :m] = np.eye(m)
-        net = FusionNetwork(
-            W=W, c=np.zeros(h), w=np.eye(h), b=np.zeros(m), l2=0.0, lr=0.1,
-        )
+        net = FusionNetwork(W=W, c=np.zeros(h), w=np.eye(h), b=np.zeros(m))
         for sym in range(m):
             x = encode(FusionInput([sym, (sym + 1) % m], 0.3), k, m)
             _, pred = forward(net, x)
@@ -162,15 +160,15 @@ def _random_case(seed):
     net = init_network(k * m + 1, m, hyper)
     X = rng.random((3, k * m + 1))
     Y = oracles.one_hot_targets(rng.integers(0, m, size=3), m)
-    return net, X, Y
+    return net, X, Y, hyper.l2
 
 
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         eps = 1e-5
         for case in range(20):
-            net, X, Y = _random_case(1000 + case)
-            _, grads = cost_and_gradients(net, X, Y)
+            net, X, Y, l2 = _random_case(1000 + case)
+            _, grads = cost_and_gradients(net, X, Y, l2)
             max_rel = 0.0
             for name in ("W", "c", "w", "b"):
                 tensor = getattr(net, name)
@@ -182,7 +180,7 @@ class TestGradients:
                     def cost_at(v, idx=idx, flat=flat):
                         old = flat[idx]
                         flat[idx] = v
-                        c, _ = cost_and_gradients(net, X, Y)
+                        c, _ = cost_and_gradients(net, X, Y, l2)
                         flat[idx] = old
                         return c
 
@@ -194,16 +192,15 @@ class TestGradients:
 
     def test_single_step_decreases_cost(self):
         # with l2 = 0 and a small lr, one step on one example reduces its cost
-        net, X, Y = _random_case(5)
-        net.l2 = 0.0
+        net, X, Y, _ = _random_case(5)
         x, y = X[:1], Y[:1]
-        before, grads = cost_and_gradients(net, x, y)
+        before, grads = cost_and_gradients(net, x, y, 0.0)
         lr = 1e-3
         net.W -= lr * grads["W"]
         net.c -= lr * grads["c"]
         net.w -= lr * grads["w"]
         net.b -= lr * grads["b"]
-        after, _ = cost_and_gradients(net, x, y)
+        after, _ = cost_and_gradients(net, x, y, 0.0)
         assert after < before
 
 
@@ -240,22 +237,18 @@ class TestTraining:
         assert agreement >= 0.99
 
     def test_divergence_raises_with_epoch(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((32, 5)) * 10
-        targets = rng.integers(0, 3, size=32)
+        preds, counts, targets = _points(3, 32, 2, 3)
         hyper = FusionHyper(hidden_width=6, lr=1e6, l2=0.0, epochs=10,
                             batch=8, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
-            train_fusion_arrays(X, targets, 3, hyper)
+            train_fusion_points(preds, counts, targets, 3, hyper)
         assert err.value.epoch >= 0
 
     def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(11)
-        X = rng.random((64, 7))
-        targets = rng.integers(0, 3, size=64)
+        preds, counts, targets = _points(11, 64, 2, 3)
         hyper = FusionHyper(hidden_width=5, epochs=5, seed=9)
-        n1, t1 = train_fusion_arrays(X, targets, 3, hyper)
-        n2, t2 = train_fusion_arrays(X, targets, 3, hyper)
+        n1, t1 = train_fusion_points(preds, counts, targets, 3, hyper)
+        n2, t2 = train_fusion_points(preds, counts, targets, 3, hyper)
         assert t1 == t2
         assert np.array_equal(n1.W, n2.W)
         assert np.array_equal(n1.w, n2.w)
@@ -293,7 +286,7 @@ def _dense_reference(X, Y, hyper):
         costs = []
         for start in range(0, X.shape[0], hyper.batch):
             idx = order[start : start + hyper.batch]
-            cost, grads = cost_and_gradients(net, X[idx], Y[idx])
+            cost, grads = cost_and_gradients(net, X[idx], Y[idx], hyper.l2)
             for name in ("W", "c", "w", "b"):
                 getattr(net, name)[...] -= hyper.lr * grads[name]
             costs.append(cost)
@@ -327,7 +320,7 @@ class TestPointsEntry:
         distinct = np.unique(
             np.column_stack([preds, counts.astype(np.float32)]), axis=0
         )
-        table, _, _, cols, _ = fusion._row_table(preds, counts, 6)
+        table, _, cols, _ = fusion._row_table(preds, counts, 6)
         assert table.shape[0] == distinct.shape[0]
         assert (distinct.shape[0] == preds.shape[0]) == all_distinct
         # the distinct rows set the same columns as all the points
@@ -367,16 +360,15 @@ class TestPointsEntry:
         preds, counts, targets = _redundant_points(9, 3000, 5, 6)
         hyper = FusionHyper(hidden_width=9, lr=0.2, l2=1e-3, epochs=3,
                             batch=64, seed=7)
-        table, row_counts, inverse, cols, width = fusion._row_table(
+        table, inverse, cols, width = fusion._row_table(
             *fusion._checked_points(preds, counts, 6), 6
         )
         perm = np.random.default_rng(0).permutation(table.shape[0])
         moved_to = np.argsort(perm)             # old table row -> new row
-        a, a_trace = fusion._train(table, row_counts, inverse, cols, width,
-                                   targets, 6, hyper)
-        b, b_trace = fusion._train(table[perm], row_counts[perm],
-                                   moved_to[inverse], cols, width, targets,
-                                   6, hyper)
+        a, a_trace = fusion._train(table, inverse, cols, width, targets, 6,
+                                   hyper)
+        b, b_trace = fusion._train(table[perm], moved_to[inverse], cols,
+                                   width, targets, 6, hyper)
         assert np.array(a_trace).tobytes() == np.array(b_trace).tobytes()
         for name in ("W", "c", "w", "b"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -402,14 +394,16 @@ class TestPointsEntry:
             preds, counts, _ = _redundant_points(11, p, k, m, n_rows=3000)
             tracemalloc.start()
             try:
-                table, _, inverse, cols, _ = fusion._row_table(
+                table, inverse, cols, _ = fusion._row_table(
                     preds, counts, m
                 )
                 peak = tracemalloc.get_traced_memory()[1] - inverse.nbytes
             finally:
                 tracemalloc.stop()
             assert np.array_equal(cols, fusion._set_columns(preds, counts, m))
-            assert table.shape == (3000, cols.size)
+            assert table.shape == (3000,)
+            fields = table.dtype["hot"].shape + table.dtype["count"].shape
+            assert sum(fields) == cols.size
             assert peak <= 2 * fusion.PREDICT_BYTES, (p, peak)
 
     @pytest.mark.parametrize("bad", [
@@ -431,6 +425,39 @@ class TestPointsEntry:
                 np.array(args["preds"]), np.array(args["counts"]),
                 np.array(args["targets"]), 3, FusionHyper(epochs=1),
             )
+
+    @pytest.mark.parametrize("change", [
+        lambda X: X[:, :-1],
+        lambda X: np.hstack([X, np.zeros((4, 1))]),
+        lambda X: X[:, None, :],
+        lambda X: X.__setitem__((1, 0), 0.5),
+        lambda X: X.__setitem__((2, 4), -1.0),
+        lambda X: X.__setitem__((0, 3), np.nan),
+        lambda X: X.__setitem__((3, slice(0, 3)), 0.0),
+        lambda X: X.__setitem__((3, slice(3, 6)), 1.0),
+        lambda X: X.__setitem__((0, slice(0, 2)), 1.0),
+        lambda X: X.__setitem__((1, -1), 1.5),
+        lambda X: X.__setitem__((1, -1), -0.5),
+        lambda X: X.__setitem__((2, -1), np.nan),
+    ], ids=[
+        "width-2*3", "width-2*3+2", "not-a-matrix", "a-half-in-a-block",
+        "a-minus-one-in-a-block", "a-nan-in-a-block", "a-block-of-zeros",
+        "a-block-of-ones", "a-block-with-two-ones", "count-above-1",
+        "count-below-0", "a-nan-count",
+    ])
+    def test_arrays_entry_takes_only_encoded_matrices(self, change):
+        # any matrix encode_batch could not have returned raises
+        preds, counts, targets = _points(14, 4, 2, 3)
+        X = encode_batch(preds, counts, 3)
+        hyper = FusionHyper(hidden_width=4, epochs=1, seed=0)
+        net, _ = train_fusion_arrays(X.copy(), targets, 3, hyper)
+        ref, _ = train_fusion_points(preds, counts, targets, 3, hyper)
+        for name in ("W", "c", "w", "b"):
+            assert np.array_equal(getattr(net, name), getattr(ref, name))
+        changed = change(X)
+        with pytest.raises(DomainError):
+            train_fusion_arrays(X if changed is None else changed, targets, 3,
+                                hyper)
 
     def test_fused_predictions_match_one_dense_pass(self):
         rows = fusion.PREDICT_BYTES // (8 * (4 * 5 + 1))      # one chunk
@@ -670,4 +697,16 @@ class TestSerialization:
         back = fusion_from_doc(doc)
         for name in ("W", "c", "w", "b"):
             assert np.array_equal(getattr(net, name), getattr(back, name))
-        assert back.l2 == net.l2
+
+    def test_rates_are_not_saved_and_older_rates_are_ignored(self):
+        # the training rates shape no prediction, so the file holds only
+        # the weights; files that still hold them load the same weights
+        net = init_network(7, 3, FusionHyper(hidden_width=4, seed=2))
+        doc = fusion_to_doc(net)
+        assert sorted(doc) == ["W", "b", "c", "schema", "w"]
+        back = fusion_from_doc({**doc, "l2": "0.0001", "lr": "0.12"})
+        assert sorted(vars(back)) == ["W", "b", "c", "w"]
+        for name in ("W", "c", "w", "b"):
+            assert getattr(back, name).tobytes() == (
+                getattr(net, name).tobytes()
+            )
