@@ -439,6 +439,9 @@ def _train(table: np.ndarray, inverse: np.ndarray, cols: np.ndarray,
             net.b -= lr * grads["b"]
             epoch_costs.append(cost)
         trace.append(float(np.mean(epoch_costs)))
+        # free this epoch's permutation (idx is a view of it) before the
+        # next is drawn, so one (n,) order lives at a time
+        del order, idx
     return _cast(net, np.float64), trace
 
 

@@ -4,9 +4,11 @@ Provides the model representation, numerically scaled forward-backward
 inference, Baum-Welch training, next-symbol prediction by likelihood
 maximization, and generative sampling.  One EM routine (`_baum_welch`)
 fits both one model over sequences of any lengths (`baum_welch_fit`) and
-one model per single-length group (`fit_groups`); its E-step runs in
-passes of at least BLOCK_SYMBOLS symbols, cut only where the length or
-the group changes (`_passes`).
+one model per single-length group (`fit_groups`); it runs each distinct
+session of a group once, weighted by how many times the session occurs
+(`_distinct_sessions`), and its E-step runs in passes of at least
+BLOCK_SYMBOLS symbols, cut only where the length or the group changes
+(`_passes`).
 
 Three forward passes: the Baum-Welch E-step holds alpha states last,
 (steps, N).  The stacked pass behind stage 2 and evaluation
@@ -27,6 +29,7 @@ log P(O|lambda) = -sum_t log(scale[t]).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -307,10 +310,11 @@ def _spans(offsets: list[int], n: int) -> list[tuple[int, int, int]]:
 
 
 def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
-            pi: np.ndarray):
+            pi: np.ndarray, weights: np.ndarray | None = None):
     """Every group's EM statistics, with a leading group axis, and
     log-likelihood, for groups of `sizes` sequences run together in one
-    ragged layout with one (A, B, pi) per group.
+    ragged layout with one (A, B, pi) per group.  With `weights`, each
+    row counts weights[row] times, as if it occurred that many times.
 
     Each group's rows are contiguous in the layout, and at step t group g
     holds rows offsets[g] to offsets[g] + running_g[t] of the rows still
@@ -331,6 +335,12 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
     step before the backward pass.  The backward pass walks t downward,
     starts beta at scale[t] for the rows that end at step t, overwrites
     alpha with gamma and accumulates the expected transitions.
+
+    The weights scale two things once the forward pass is done: alpha,
+    which weights gamma (and with it pi and b_num) and the transition sums,
+    whose outer products read the previous step's alpha; and the logged
+    scale factors.  Without weights both products are skipped; multiplying
+    by 1.0 would keep every bit anyway.
     """
     G, N, M = B.shape
     counts = layout.running.tolist()
@@ -382,6 +392,11 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
             int(np.searchsorted(starts, first, side="right")) - 1
         )
 
+    if weights is not None:
+        # step by step, so no per-symbol array of weights exists
+        for q, n in zip(starts, counts):
+            alpha[q: q + n] *= weights[:n, None]
+
     # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
     T = len(counts)
     beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
@@ -407,8 +422,11 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
 
     # per-group sums at the group's own shapes: pi over its rows at t=0,
     # and log-likelihood over its scale factors in its own layout's order
+    np.log(scale, out=scale)
+    if weights is not None:
+        for q, n in zip(starts, counts):
+            scale[q: q + n] *= weights[:n]
     logs = scale if own is None else np.take(scale, own)
-    np.log(logs, out=logs)
     stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
     for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         stats["pi"][g] = alpha[lo:hi].sum(axis=0)
@@ -444,16 +462,35 @@ def _emission_counts(rows: np.ndarray, gamma: np.ndarray, G: int,
     return np.ascontiguousarray(counts.reshape(G, M, N).transpose(0, 2, 1))
 
 
-def _passes(groups: list[list[np.ndarray]]) -> list[tuple]:
-    """The E-step passes over `groups`' rows, each group's longest first:
-    (layout, its pass-groups' sizes, the index of its first group).
+def _distinct_sessions(
+    seqs: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[int]]:
+    """Each distinct sequence of `seqs` once, in the order of its first
+    occurrence, and how many times it occurs.  The sequences must share one
+    dtype (a StateSequence's symbols are int64), so that equal bytes mean
+    equal sequences."""
+    keys = [s.tobytes() for s in seqs]
+    # a later occurrence's array replaces the first's, bit for bit equal
+    return list(dict(zip(keys, seqs)).values()), list(Counter(keys).values())
+
+
+def _passes(groups: list[list[np.ndarray]],
+            counts: list[list[int]]) -> list[tuple]:
+    """The E-step passes over `groups`' rows, each group's longest first,
+    where counts[g][i] is how many times row i of group g occurs: (layout,
+    its pass-groups' sizes, the index of its first group, its rows' counts
+    as floats, or None when each row occurs once).
 
     A pass is cut once it holds at least BLOCK_SYMBOLS symbols, and only
     where the length or the group changes; its rows of one group form one
     pass-group.  With one group, or groups of one length each that come
     longest first, a pass-group's rows are contiguous in its layout.
     """
-    rows = [s for g in groups for s in sorted(g, key=len, reverse=True)]
+    order = [sorted(range(len(g)), key=lambda i: -g[i].size) for g in groups]
+    rows = [g[i] for g, o in zip(groups, order) for i in o]
+    weights = np.array(
+        [c[i] for c, o in zip(counts, order) for i in o], dtype=np.float64
+    )
     lengths = np.array([s.size for s in rows], dtype=np.int64)
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     total = np.concatenate([[0], np.cumsum(lengths)])
@@ -462,7 +499,11 @@ def _passes(groups: list[list[np.ndarray]]) -> list[tuple]:
     for hi in cuts.tolist() + [len(rows)]:
         if total[hi] - total[lo] >= BLOCK_SYMBOLS or hi == len(rows):
             first, sizes = np.unique(owner[lo:hi], return_counts=True)
-            passes.append((_ragged(rows[lo:hi]), sizes.tolist(), first[0]))
+            w = weights[lo:hi]
+            passes.append((
+                _ragged(rows[lo:hi]), sizes.tolist(), first[0],
+                w if (w != 1.0).any() else None,
+            ))
             lo = hi
     return passes
 
@@ -475,16 +516,20 @@ def _baum_welch(
     group from random_model(n_hidden, n_obs, seeds[g]).  There is one
     group, or every group is of one length (see `_passes`).
 
-    Each iteration runs one E-step over the groups still iterating, pass
-    after pass, and one M-step over them all; a group leaves when it
-    converges or reaches `max_iters`.  A group adds its statistics and
-    log-likelihood over its passes in pass order, from 0.0; they do not
-    depend on the other groups in a pass.  Layouts are rebuilt only when a
-    group leaves; each pass's `_e_step` buffers are made and freed in turn.
+    Each group's distinct sessions are found once (`_distinct_sessions`),
+    and the E-step runs each of them once, weighted by how many times it
+    occurs.  Each iteration runs one E-step over the groups still
+    iterating, pass after pass, and one M-step over them all; a group
+    leaves when it converges or reaches `max_iters`.  A group adds its
+    statistics and log-likelihood over its passes in pass order, from 0.0;
+    they do not depend on the other groups in a pass.  Layouts are rebuilt
+    only when a group leaves; each pass's `_e_step` buffers are made and
+    freed in turn.
     """
     inits = [random_model(n_hidden, n_obs, seed) for seed in seeds]
     if max_iters < 1:
         return [(model, []) for model in inits]
+    groups, counts = zip(*map(_distinct_sessions, groups))
     live = sorted(range(len(groups)), key=lambda g: -max(map(len, groups[g])))
     A = np.stack([inits[g].A for g in live])
     B = np.stack([inits[g].B for g in live])
@@ -492,12 +537,14 @@ def _baum_welch(
     traces, models = [[] for _ in groups], [None] * len(groups)
     passes = None
     while live:
-        passes = passes or _passes([groups[g] for g in live])
+        passes = passes or _passes(
+            [groups[g] for g in live], [counts[g] for g in live]
+        )
         stats, lls = {}, np.zeros(len(live))
-        for layout, sizes, lo in passes:
+        for layout, sizes, lo, weights in passes:
             hi = lo + len(sizes)
             pass_stats, pass_lls = _e_step(
-                layout, sizes, A[lo:hi], B[lo:hi], pi[lo:hi]
+                layout, sizes, A[lo:hi], B[lo:hi], pi[lo:hi], weights
             )
             for name, value in pass_stats.items():
                 stats.setdefault(name, np.zeros((len(live), *value.shape[1:])))
@@ -555,7 +602,8 @@ def fit_groups(
 
     Returns (model, trace) per group, in input order, each exactly what
     `baum_welch_fit(groups[g], n_hidden, n_obs, seeds[g], tol, max_iters)`
-    returns; the groups share each E-step's passes and each M-step (see
+    returns; the groups share each E-step's passes and each M-step, and
+    each distinct session runs once, weighted by its count (see
     `_baum_welch`).
     """
     if len(seeds) != len(groups):

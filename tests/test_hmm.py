@@ -36,6 +36,25 @@ from conftest import draw, make_seq
 import oracles
 
 
+def output_at_one_and_two_blas_threads(script: str) -> list[bytes]:
+    """The standard output of `script` run by a fresh interpreter with
+    OpenBLAS on one thread, then on two."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+        )
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(hmm.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, timeout=300,
+        ).stdout)
+    return outputs
+
+
 class TestForwardBackward:
     def test_single_state_likelihood_is_emission_product(self):
         model = HmmModel(
@@ -352,7 +371,10 @@ class TestEStep:
         # that would otherwise count towards the traced peak
         baum_welch_fit(seqs[:10], n_hidden, n_obs=6, seed=1, max_iters=2)
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 4096):
-            blocks = [p[0] for p in hmm._passes([[s.symbols for s in seqs]])]
+            # the fit runs the 2919 distinct sessions of the 3000
+            rows, counts = hmm._distinct_sessions([s.symbols for s in seqs])
+            assert len(rows) == 2919
+            blocks = [p[0] for p in hmm._passes([rows], [counts])]
             assert len(blocks) == 19
             alpha_bytes = max(b.obs.size for b in blocks) * n_hidden * 8
             del blocks
@@ -365,24 +387,44 @@ class TestEStep:
         assert peak <= 2.2 * alpha_bytes, (peak, alpha_bytes)
 
     def test_passes_cut_only_where_the_length_or_the_group_changes(self):
+        def ones(groups):
+            return [[1] * len(g) for g in groups]
+
         rng = np.random.default_rng(0)
         same = [rng.integers(0, 3, size=7) for _ in range(50)]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            passes = hmm._passes([same])
+            passes = hmm._passes([same], ones([same]))
         assert [p[0].lengths.tolist() for p in passes] == [[7] * 50]
 
         lengths = rng.permutation(np.repeat([9, 5, 4, 2, 1], [3, 6, 1, 4, 5]))
         seqs = [rng.integers(0, 3, size=t) for t in lengths]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            passes = hmm._passes([seqs])
+            passes = hmm._passes([seqs], ones([seqs]))
         # one group over four passes: 27 symbols, 30, then 4 + 8 closing
-        # past the budget, then the rest
+        # past the budget, then the rest; each row occurs once
         assert [p[0].lengths.tolist() for p in passes] == [
             [9] * 3, [5] * 6, [4, 2, 2, 2, 2], [1] * 5
         ]
-        assert [p[1:] for p in passes] == [([3], 0), ([6], 0), ([5], 0),
-                                           ([5], 0)]
-        assert [len(p[0].lengths) for p in hmm._passes([seqs])] == [19]
+        assert [p[1:] for p in passes] == [([3], 0, None), ([6], 0, None),
+                                           ([5], 0, None), ([5], 0, None)]
+        assert [
+            len(p[0].lengths) for p in hmm._passes([seqs], ones([seqs]))
+        ] == [19]
+        # a row's count goes with it, longest first and in input order
+        # within a length; a pass whose rows each occur once has none
+        counts = list(range(1, len(seqs) + 1))
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
+            passes = hmm._passes([seqs], [counts])
+        order = sorted(range(len(seqs)), key=lambda i: -lengths[i])
+        np.testing.assert_array_equal(
+            np.concatenate([p[3] for p in passes]), np.take(counts, order)
+        )
+        # one row of length 1 occurs twice
+        counts = [1] * len(seqs)
+        counts[int(np.flatnonzero(lengths == 1)[0])] = 2
+        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
+            passes = hmm._passes([seqs], [counts])
+        assert [p[3] is None for p in passes] == [True] * 3 + [False]
 
         # single-length groups, longest first, packed whole: 27 symbols;
         # 5 left open at the change of group, closing at 15; then the rest
@@ -392,17 +434,81 @@ class TestEStep:
             for t, size in shapes
         ]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            passes = hmm._passes(groups)
+            passes = hmm._passes(groups, ones(groups))
         assert [(p[0].lengths.tolist(), *p[1:]) for p in passes] == [
-            ([9] * 3, [3], 0), ([5] * 3, [1, 2], 1),
-            ([2] * 4 + [1] * 5, [4, 5], 3),
+            ([9] * 3, [3], 0, None), ([5] * 3, [1, 2], 1, None),
+            ([2] * 4 + [1] * 5, [4, 5], 3, None),
         ]
         # each pass-group's rows, in input order, are contiguous: the
         # pass's obs holds them time-major
         np.testing.assert_array_equal(
             passes[1][0].obs, np.stack(groups[1] + groups[2]).T.ravel()
         )
-        assert [len(p[0].lengths) for p in hmm._passes(groups)] == [15]
+        assert [
+            len(p[0].lengths) for p in hmm._passes(groups, ones(groups))
+        ] == [15]
+
+    @staticmethod
+    def weighted_pass(shapes, seed):
+        """A one-pass E-step input: groups of the given (lengths, rows)
+        shapes, their rows longest first, every row with a count of 1 to 4;
+        and the (A, B, pi) of one random model per group."""
+        rng = np.random.default_rng(seed)
+        n, m = 3, 4
+        groups = [
+            sorted((rng.integers(0, m, size=t) for t in lengths), key=len,
+                   reverse=True)
+            for lengths in shapes
+        ]
+        counts = [rng.integers(1, 5, size=len(g)) for g in groups]
+        stack = stack_models(
+            [random_model(n, m, seed=seed + g) for g in range(len(groups))]
+        )
+        return groups, counts, (stack.A, stack.B, stack.pi)
+
+    @pytest.mark.parametrize("shapes", [
+        [[6] * 9],
+        [[9, 7, 7, 4, 2, 2, 2, 1, 1]],
+        [[8] * 3, [5] * 7, [5] * 2, [1] * 6],
+    ], ids=["single-length", "mixed-lengths", "four-groups"])
+    def test_weighted_rows_equal_their_repeats(self, shapes):
+        groups, counts, params = self.weighted_pass(shapes, seed=21)
+        layout = hmm._ragged([s for g in groups for s in g])
+        sizes = [len(g) for g in groups]
+        got, got_lls = hmm._e_step(
+            layout, sizes, *params, np.concatenate(counts).astype(np.float64)
+        )
+        repeated = [
+            [s for s, c in zip(g, cs) for _ in range(c)]
+            for g, cs in zip(groups, counts)
+        ]
+        want, want_lls = hmm._e_step(
+            hmm._ragged([s for g in repeated for s in g]),
+            [len(g) for g in repeated], *params,
+        )
+        for name, value in want.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_lls, want_lls, rtol=1e-12, atol=0)
+        # the counts matter: without them the transition sums differ
+        assert max(map(max, counts)) > 1
+        unweighted, _ = hmm._e_step(layout, sizes, *params)
+        assert not np.allclose(got["a_num"], unweighted["a_num"])
+
+    @pytest.mark.parametrize("shapes", [
+        [[9, 7, 7, 4, 2, 2, 2, 1, 1]],
+        [[8] * 3, [5] * 7, [5] * 2, [1] * 6],
+    ], ids=["mixed-lengths", "four-groups"])
+    def test_weights_of_one_keep_every_bit(self, shapes):
+        groups, _, params = self.weighted_pass(shapes, seed=22)
+        layout = hmm._ragged([s for g in groups for s in g])
+        sizes = [len(g) for g in groups]
+        got, got_lls = hmm._e_step(
+            layout, sizes, *params, np.ones(len(layout.lengths))
+        )
+        want, want_lls = hmm._e_step(layout, sizes, *params)
+        for name, value in want.items():
+            assert got[name].tobytes() == value.tobytes(), name
+        assert got_lls == want_lls
 
     @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
     @pytest.mark.parametrize("G", [1, 4], ids=["one-group", "four-groups"])
@@ -640,8 +746,10 @@ class TestFitGroups:
         # one-time work off the peak, as in the one-group test above
         hmm.fit_groups(groups[:2], seeds[:2], n_hidden, 6, max_iters=2)
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 4096):
+            # no group repeats a session
             blocks = [p[0] for p in hmm._passes(
-                [[s.symbols for s in g] for g in reversed(groups)]
+                [[s.symbols for s in g] for g in reversed(groups)],
+                [[1] * len(g) for g in reversed(groups)],
             )]
             assert len(blocks) == 6
             alpha_bytes = max(b.obs.size for b in blocks) * n_hidden * 8
@@ -653,6 +761,31 @@ class TestFitGroups:
             finally:
                 tracemalloc.stop()
         assert peak <= 2.2 * alpha_bytes, (peak, alpha_bytes)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # each group draws its sessions from a pool of 20 to 600, so the
+        # weighted E-step's (rows, N) @ (N, N) products run over the
+        # distinct sessions; N=32 makes them large enough for OpenBLAS to
+        # split over two threads
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fhmm.hmm import fit_groups\n"
+            "from fhmm.sequences import StateSequence\n"
+            "rng = np.random.default_rng(4)\n"
+            "groups = []\n"
+            "for t, pool in ((2, 20), (5, 200), (12, 600), (30, 600)):\n"
+            "    rows = rng.integers(0, 19, size=(pool, t))\n"
+            "    picks = rng.integers(0, pool, size=900)\n"
+            "    groups.append([StateSequence(rows[i]) for i in picks])\n"
+            "fits = fit_groups(groups, [1, 2, 3, 4], 32, 19, max_iters=4)\n"
+            "for model, trace in fits:\n"
+            "    for arr in (model.A, model.B, model.pi, np.array(trace)):\n"
+            "        sys.stdout.buffer.write(arr.tobytes())\n"
+        )
+        outputs = output_at_one_and_two_blas_threads(script)
+        assert len(outputs[0]) > 0
+        assert outputs[0] == outputs[1]
 
     def test_rejects_mixed_lengths_and_missing_seeds(self):
         group = [make_seq([0, 1]), make_seq([1, 0, 1])]
@@ -883,19 +1016,7 @@ class TestPredictPoints:
             "    got = predict_points(models, seqs).tobytes()\n"
             "    sys.stdout.buffer.write(got)\n"
         )
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(
-                os.environ, OPENBLAS_NUM_THREADS=threads,
-                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-            )
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(Path(hmm.__file__).parents[1]), env.get("PYTHONPATH", "")]
-            )
-            outputs.append(subprocess.run(
-                [sys.executable, "-c", script], env=env, check=True,
-                capture_output=True, timeout=300,
-            ).stdout)
+        outputs = output_at_one_and_two_blas_threads(script)
         assert len(outputs[0]) > 0
         assert outputs[0] == outputs[1]
 
