@@ -223,10 +223,10 @@ def _fit_selected(sessions, lengths: list[int], config: RunConfig,
     another's fits.  A fit's iteration count is not known before it runs,
     but each model's predictions cost about the same, so the deal gives the
     shares equal numbers of models and spreads the costliest fits
-    (length x sessions) over different shares.  Length x distinct
-    sessions, the symbols a fit runs (see `fit_groups`), dealt the standard
-    benchmark's groups less evenly: the short groups that repeat most also
-    run the most iterations.  A group's arithmetic does not depend on the
+    (length x sessions) over different shares.  The cost stays length x
+    sessions, not length x distinct sessions (the symbols a fit runs, see
+    `fit_groups`), because the short groups that repeat most also run the
+    most iterations.  A group's arithmetic does not depend on the
     other groups in its pass, nor a model's predictions on the other models
     in its stack, so the deal changes no result.  One share
     is the selection order: it runs in this process on the sessions' own

@@ -177,7 +177,10 @@ def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWork
     forward pass the one-model `_stacked_alpha` with every step's alpha.
 
     Raises DegenerateSequenceError at the first step whose unscaled row sum
-    is zero or subnormal, where `score` still returns a finite value.
+    is zero or subnormal, where `score` still returns a finite value.  A
+    row sum just above the smallest normal float has a reciprocal just
+    below 1/tiny, so beta may still overflow: then it raises at the last
+    step whose beta does.
     """
     check_symbols(seq, model.n_obs)
     obs = seq.symbols
@@ -194,7 +197,12 @@ def forward_backward(model: HmmModel, seq: StateSequence) -> ForwardBackwardWork
     beta = np.empty((T, N))
     beta[T - 1] = scale[T - 1]
     for t in range(T - 2, -1, -1):
-        beta[t] = scale[t] * (model.A @ (model.B[:, obs[t + 1]] * beta[t + 1]))
+        with np.errstate(over="ignore"):
+            beta[t] = scale[t] * (
+                model.A @ (model.B[:, obs[t + 1]] * beta[t + 1])
+            )
+        if not beta[t].max() < np.inf:
+            raise DegenerateSequenceError(t)
 
     # gamma_t = alpha_t * beta_t / scale_t sums to one by the scaling identity
     gamma = alpha * beta / scale[:, None]
@@ -310,11 +318,11 @@ def _spans(offsets: list[int], n: int) -> list[tuple[int, int, int]]:
 
 
 def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
-            pi: np.ndarray, weights: np.ndarray | None = None):
+            pi: np.ndarray, weights: np.ndarray):
     """Every group's EM statistics, with a leading group axis, and
     log-likelihood, for groups of `sizes` sequences run together in one
-    ragged layout with one (A, B, pi) per group.  With `weights`, each
-    row counts weights[row] times, as if it occurred that many times.
+    ragged layout with one (A, B, pi) per group.  Each row counts
+    weights[row] times, as if it occurred that many times.
 
     Each group's rows are contiguous in the layout, and at step t group g
     holds rows offsets[g] to offsets[g] + running_g[t] of the rows still
@@ -333,14 +341,15 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
     as an infinite scale factor: the pass runs with those warnings off,
     and the first such factor raises DegenerateSequenceError at its
     step before the backward pass.  The backward pass walks t downward,
-    starts beta at scale[t] for the rows that end at step t, overwrites
-    alpha with gamma and accumulates the expected transitions.
+    starts beta at weights[row] * scale[t] for the rows that end at step t,
+    overwrites alpha with gamma and accumulates the expected transitions.
 
-    The weights scale two things once the forward pass is done: alpha,
-    which weights gamma (and with it pi and b_num) and the transition sums,
-    whose outer products read the previous step's alpha; and the logged
-    scale factors.  Without weights both products are skipped; multiplying
-    by 1.0 would keep every bit anyway.
+    The weights enter in two places.  Beta is linear in its start, so each
+    row's beta carries the row's weight, and with it gamma (and so pi and
+    b_num) and the transition sums, whose outer products read beta; that
+    costs one product per row, not one per symbol.  The logged scale
+    factors are multiplied step by step.  A weight of 1.0 keeps every bit
+    of its row.
     """
     G, N, M = B.shape
     counts = layout.running.tolist()
@@ -392,14 +401,11 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
             int(np.searchsorted(starts, first, side="right")) - 1
         )
 
-    if weights is not None:
-        # step by step, so no per-symbol array of weights exists
-        for q, n in zip(starts, counts):
-            alpha[q: q + n] *= weights[:n, None]
-
     # alpha becomes gamma in place: gamma_t = alpha_t * beta_t / scale_t
     T = len(counts)
-    beta[: counts[T - 1]] = scale[starts[T - 1]: starts[T], None]
+    n = counts[T - 1]
+    np.multiply(scale[starts[T - 1]: starts[T], None], weights[:n, None],
+                out=beta[:n])
     a_outer = np.zeros((G, N, N))
     for t in range(T - 1, -1, -1):
         q, n = starts[t], counts[t]
@@ -418,14 +424,14 @@ def _e_step(layout: _Ragged, sizes: list[int], A: np.ndarray, B: np.ndarray,
         a_outer[:len(spans)] += outer[:len(spans)]
         np.multiply(scale[p: p + n, None], back[:n], out=beta_t)
         if m > n:                                    # rows that end at t-1
-            beta[n:m] = scale[p + n: p + m, None]
+            np.multiply(scale[p + n: p + m, None], weights[n:m, None],
+                        out=beta[n:m])
 
     # per-group sums at the group's own shapes: pi over its rows at t=0,
     # and log-likelihood over its scale factors in its own layout's order
     np.log(scale, out=scale)
-    if weights is not None:
-        for q, n in zip(starts, counts):
-            scale[q: q + n] *= weights[:n]
+    for q, n in zip(starts, counts):
+        scale[q: q + n] *= weights[:n]
     logs = scale if own is None else np.take(scale, own)
     stats = {"pi": np.empty((G, N)), "a_num": A * a_outer}
     for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
@@ -479,7 +485,7 @@ def _passes(groups: list[list[np.ndarray]],
     """The E-step passes over `groups`' rows, each group's longest first,
     where counts[g][i] is how many times row i of group g occurs: (layout,
     its pass-groups' sizes, the index of its first group, its rows' counts
-    as floats, or None when each row occurs once).
+    as floats).
 
     A pass is cut once it holds at least BLOCK_SYMBOLS symbols, and only
     where the length or the group changes; its rows of one group form one
@@ -499,10 +505,9 @@ def _passes(groups: list[list[np.ndarray]],
     for hi in cuts.tolist() + [len(rows)]:
         if total[hi] - total[lo] >= BLOCK_SYMBOLS or hi == len(rows):
             first, sizes = np.unique(owner[lo:hi], return_counts=True)
-            w = weights[lo:hi]
             passes.append((
                 _ragged(rows[lo:hi]), sizes.tolist(), first[0],
-                w if (w != 1.0).any() else None,
+                weights[lo:hi],
             ))
             lo = hi
     return passes

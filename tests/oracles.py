@@ -241,6 +241,20 @@ def forward_loop(A, B, pi, obs):
     return alpha, scale, -float(log_scale.sum())
 
 
+def backward_loop(A, B, scale, obs):
+    """One model's scaled backward pass, one step at a time: beta (T, N),
+    beta[T-1] = scale[T-1] and beta[t] = scale[t] * A @ (B[:, obs[t+1]] *
+    beta[t+1]).  A step that overflows, and every step before it, holds a
+    non-finite entry."""
+    T = len(obs)
+    beta = np.empty((T, A.shape[0]))
+    beta[T - 1] = scale[T - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 2, -1, -1):
+            beta[t] = scale[t] * (A @ (B[:, obs[t + 1]] * beta[t + 1]))
+    return beta
+
+
 def fusion_inputs(preds, counts, n_obs: int) -> np.ndarray:
     """(P, K*n_obs+1) float64 rows: K one-hot blocks, then the count."""
     p, k = np.shape(preds)

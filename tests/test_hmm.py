@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fhmm.benchmark import standard_benchmark, standard_config
 from fhmm import hmm
@@ -325,9 +325,10 @@ class TestEStep:
         ]
         models = [random_model(n, m, seed=seed + g) for g in range(len(groups))]
         stack = stack_models(models)
+        rows = [s for g in groups for s in g]
         stats, lls = hmm._e_step(
-            hmm._ragged([s for g in groups for s in g]),
-            [len(g) for g in groups], stack.A, stack.B, stack.pi,
+            hmm._ragged(rows), [len(g) for g in groups], stack.A, stack.B,
+            stack.pi, np.ones(len(rows)),
         )
         for g, (model, seqs) in enumerate(zip(models, groups)):
             assert_matches_forward_backward(
@@ -351,7 +352,7 @@ class TestEStep:
         # the layout takes its rows longest first
         stats, lls = hmm._e_step(
             hmm._ragged(sorted(seqs, key=len, reverse=True)), [len(seqs)],
-            model.A[None], model.B[None], model.pi[None],
+            model.A[None], model.B[None], model.pi[None], np.ones(len(seqs)),
         )
         assert_matches_forward_backward(
             model, seqs, {name: v[0] for name, v in stats.items()}, lls[0]
@@ -405,13 +406,16 @@ class TestEStep:
         assert [p[0].lengths.tolist() for p in passes] == [
             [9] * 3, [5] * 6, [4, 2, 2, 2, 2], [1] * 5
         ]
-        assert [p[1:] for p in passes] == [([3], 0, None), ([6], 0, None),
-                                           ([5], 0, None), ([5], 0, None)]
+        assert [p[1:3] for p in passes] == [([3], 0), ([6], 0), ([5], 0),
+                                            ([5], 0)]
+        assert [p[3].tolist() for p in passes] == [
+            [1.0] * 3, [1.0] * 6, [1.0] * 5, [1.0] * 5
+        ]
         assert [
             len(p[0].lengths) for p in hmm._passes([seqs], ones([seqs]))
         ] == [19]
         # a row's count goes with it, longest first and in input order
-        # within a length; a pass whose rows each occur once has none
+        # within a length
         counts = list(range(1, len(seqs) + 1))
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
             passes = hmm._passes([seqs], [counts])
@@ -419,12 +423,6 @@ class TestEStep:
         np.testing.assert_array_equal(
             np.concatenate([p[3] for p in passes]), np.take(counts, order)
         )
-        # one row of length 1 occurs twice
-        counts = [1] * len(seqs)
-        counts[int(np.flatnonzero(lengths == 1)[0])] = 2
-        with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
-            passes = hmm._passes([seqs], [counts])
-        assert [p[3] is None for p in passes] == [True] * 3 + [False]
 
         # single-length groups, longest first, packed whole: 27 symbols;
         # 5 left open at the change of group, closing at 15; then the rest
@@ -435,10 +433,12 @@ class TestEStep:
         ]
         with mock.patch.object(hmm, "BLOCK_SYMBOLS", 10):
             passes = hmm._passes(groups, ones(groups))
-        assert [(p[0].lengths.tolist(), *p[1:]) for p in passes] == [
-            ([9] * 3, [3], 0, None), ([5] * 3, [1, 2], 1, None),
-            ([2] * 4 + [1] * 5, [4, 5], 3, None),
+        assert [(p[0].lengths.tolist(), *p[1:3]) for p in passes] == [
+            ([9] * 3, [3], 0), ([5] * 3, [1, 2], 1),
+            ([2] * 4 + [1] * 5, [4, 5], 3),
         ]
+        assert [p[3].tolist() for p in passes] == [[1.0] * 3, [1.0] * 3,
+                                                   [1.0] * 9]
         # each pass-group's rows, in input order, are contiguous: the
         # pass's obs holds them time-major
         np.testing.assert_array_equal(
@@ -482,33 +482,37 @@ class TestEStep:
             [s for s, c in zip(g, cs) for _ in range(c)]
             for g, cs in zip(groups, counts)
         ]
+        rows = [s for g in repeated for s in g]
         want, want_lls = hmm._e_step(
-            hmm._ragged([s for g in repeated for s in g]),
-            [len(g) for g in repeated], *params,
+            hmm._ragged(rows), [len(g) for g in repeated], *params,
+            np.ones(len(rows)),
         )
         for name, value in want.items():
             np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got_lls, want_lls, rtol=1e-12, atol=0)
         # the counts matter: without them the transition sums differ
         assert max(map(max, counts)) > 1
-        unweighted, _ = hmm._e_step(layout, sizes, *params)
+        unweighted, _ = hmm._e_step(
+            layout, sizes, *params, np.ones(len(layout.lengths))
+        )
         assert not np.allclose(got["a_num"], unweighted["a_num"])
 
     @pytest.mark.parametrize("shapes", [
         [[9, 7, 7, 4, 2, 2, 2, 1, 1]],
         [[8] * 3, [5] * 7, [5] * 2, [1] * 6],
     ], ids=["mixed-lengths", "four-groups"])
-    def test_weights_of_one_keep_every_bit(self, shapes):
+    def test_doubled_weights_double_every_bit(self, shapes):
+        # the weights enter only as exact products: a power of two scales
+        # every sum without rounding, so a weight of 1.0 keeps every bit
         groups, _, params = self.weighted_pass(shapes, seed=22)
         layout = hmm._ragged([s for g in groups for s in g])
         sizes = [len(g) for g in groups]
-        got, got_lls = hmm._e_step(
-            layout, sizes, *params, np.ones(len(layout.lengths))
-        )
-        want, want_lls = hmm._e_step(layout, sizes, *params)
-        for name, value in want.items():
-            assert got[name].tobytes() == value.tobytes(), name
-        assert got_lls == want_lls
+        ones = np.ones(len(layout.lengths))
+        once, once_lls = hmm._e_step(layout, sizes, *params, ones)
+        twice, twice_lls = hmm._e_step(layout, sizes, *params, 2 * ones)
+        for name, value in once.items():
+            assert (2 * value).tobytes() == twice[name].tobytes(), name
+        assert [2 * ll for ll in once_lls] == twice_lls
 
     @pytest.mark.parametrize("chunk", [hmm.COUNT_ENTRIES, 35])
     @pytest.mark.parametrize("G", [1, 4], ids=["one-group", "four-groups"])
@@ -1234,6 +1238,11 @@ class TestStackedStep:
         planted=PLANTED,
         dead=st.booleans(),
     )
+    # each row sum stays normal, but the one just above tiny at step 11
+    # gives a reciprocal that overflows beta there
+    @example(n_hidden=2, n_obs=2, length=13, seed=41,
+             planted=[("A", 0, 5e-324), ("B", 2, 2 * np.finfo(float).tiny)],
+             dead=False)
     def test_one_model_paths_equal_the_forward_loop_bit_for_bit(
         self, n_hidden, n_obs, length, seed, planted, dead
     ):
@@ -1271,9 +1280,19 @@ class TestStackedStep:
                 forward_backward(model, seq)
             assert err.value.time_step == subnormal[0]
             return
+        # a row sum just above tiny may still overflow beta, and the
+        # posteriors are degenerate from the last step that does
+        beta = oracles.backward_loop(model.A, model.B, scale, seq.symbols)
+        overflow = np.flatnonzero(~np.isfinite(beta).all(axis=1))
+        if overflow.size:
+            with pytest.raises(DegenerateSequenceError) as err:
+                forward_backward(model, seq)
+            assert err.value.time_step == overflow[-1]
+            return
         ws = forward_backward(model, seq)
         assert ws.alpha.tobytes() == alpha.tobytes()
         assert ws.scale.tobytes() == scale.tobytes()
+        assert ws.beta.tobytes() == beta.tobytes()
         assert ws.log_likelihood.hex() == ll.hex()
 
     def test_holds_no_per_step_arrays(self):
